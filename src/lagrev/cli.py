@@ -49,7 +49,7 @@ from .realanalog import (
     thm20_residual,
 )
 from . import specfun
-from .verify import emit_report, report_as_dict, run_suite
+from .verify import emit_report, run_suite
 
 
 class _Parser(argparse.ArgumentParser):

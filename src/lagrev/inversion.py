@@ -17,7 +17,7 @@ from . import series as qs
 from .errors import AccuracyLoss, BranchError, NoConvergence, PoleError, ZeroAtOrigin
 from .expr import Node, eval_expr, series_expr
 from .series import TruncSeries, eval_series, lagrange_revert
-from .specfun import UpperHalfPoint, _as_z, appell_f1, e_map
+from .specfun import _as_z, appell_f1, e_map
 
 _TWO_PI_I = 2j * math.pi
 
@@ -81,11 +81,6 @@ def solve_w_direct(f: FuncSpec, q: complex, tol: float = 1e-13) -> complex:
             break
         w -= residual / deriv
     raise NoConvergence("Newton iteration for w/f(w) = q did not converge")
-
-
-def p_inverse_series(ctx: InversionContext) -> TruncSeries:
-    """The series sum a_n q^n, which is 1/P as a function of q."""
-    return TruncSeries((0j,) + ctx.a)
 
 
 def p_of_z(ctx: InversionContext, z) -> complex:

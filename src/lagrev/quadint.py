@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import BranchError, DomainError, NoConvergence, PoleError
-from .quadrature import quad_oracle
+from .quadrature import newton_decreasing, quad_oracle
 from .specfun import gamma_fn, inc_beta
 
 __all__ = [
@@ -125,8 +125,13 @@ def B_alpha(x: float, alpha: float) -> float:
 def beta_r(m: Fraction, r: float) -> BetaPoint:
     """Solve B_{1-m}(1-t)/B_{1-m}(t) = sqrt(r) for t in (0, 1).
 
-    The incomplete-beta ratio is strictly decreasing, so bisection always
-    brackets; a Newton polish then reaches residual < 1e-12.
+    t -> 1 - t turns r into 1/r, so with s = max(r, 1/r) the root u of
+    g(u) = B0(1-u) - s B0(u) (equal parameters alpha = 1-m) lies in
+    (0, 1/2] and t is u or 1 - u.  In v = log u, g is decreasing and
+    concave with dg/dv = -(1+s) u^alpha (1-u)^(alpha-1), so bracketed
+    Newton from u = 1/2 approaches the root from above and never takes
+    B0(1-u) closer to x = 1 than the root itself.  NoConvergence unless
+    the ratio residual at t is below 1e-10.
     """
     m = Fraction(m)
     if not (0 < m < 1):
@@ -134,28 +139,20 @@ def beta_r(m: Fraction, r: float) -> BetaPoint:
     if not r > 0:
         raise DomainError("r must be positive")
     alpha = float(1 - m)
-    ib = lambda t: inc_beta(t, alpha, alpha).real  # noqa: E731
+    s = max(r, 1.0 / r)
+    ib = lambda u: inc_beta(u, alpha, alpha).real  # noqa: E731
 
-    def g(t: float) -> float:
-        return ib(1.0 - t) - r * ib(t)
+    def g(v: float) -> float:
+        u = math.exp(v)
+        return ib(1.0 - u) - s * ib(u)
 
-    lo, hi = 1e-14, 1.0 - 1e-14
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    for _ in range(8):
-        gt = g(t)
-        deriv = -(1.0 + r) * (t * (1.0 - t)) ** (alpha - 1.0)
-        step = gt / deriv
-        t -= step
-        if not 0.0 < t < 1.0:
-            t = min(max(t, 1e-15), 1.0 - 1e-15)
-        if abs(step) < 1e-16:
-            break
+    def dg(v: float) -> float:
+        u = math.exp(v)
+        return -(1.0 + s) * u**alpha * (1.0 - u) ** (alpha - 1.0)
+
+    half = math.log(0.5)
+    u = math.exp(newton_decreasing(g, dg, math.log(1e-14), half, half))
+    t = u if r >= 1.0 else 1.0 - u
     residual = abs(B_alpha(1.0 - t, alpha) / B_alpha(t, alpha) - math.sqrt(r))
     if residual > 1e-10:
         raise NoConvergence(f"beta_r residual {residual:.3e} did not reach 1e-10")

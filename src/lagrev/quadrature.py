@@ -1,6 +1,7 @@
-"""Adaptive Gauss-Kronrod quadrature along straight segments in C.
+"""Adaptive Gauss-Kronrod quadrature along straight segments in C, and
+the bracketed Newton solver shared by the root solves.
 
-This is the ground-truth integrator the verification suite uses against
+The integrator is the ground truth the verification suite uses against
 every closed form; it must stay independent of those closed forms.
 Endpoint singularities of type |t - endpoint|^{-s}, s < 1, are removed
 by the power substitution t = u^p with p(1-s) >= 3 before subdividing.
@@ -12,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import DomainError, NonIntegrable
+from .errors import DomainError, NoConvergence, NonIntegrable
 
 # 15-point Kronrod nodes on [-1, 1] (symmetric; nonnegative half listed)
 # with the embedded 7-point Gauss rule on the odd-indexed nodes.
@@ -190,3 +191,38 @@ def _substituted(fn_dist, span: complex, width: float, s: float):
         return fn_dist(width * u**p) * span * width * p * u ** (p - 1.0)
 
     return transformed
+
+
+_NEWTON_EVALS = 100
+
+
+def newton_decreasing(
+    g: Callable[[float], float], dg: Callable[[float], float], lo: float, hi: float, t: float
+) -> float:
+    """Root of a strictly decreasing g on [lo, hi], g(lo) > 0 > g(hi).
+
+    Newton steps with the analytic derivative dg from t; each g value
+    shrinks the bracket by its sign, and a step that would leave the
+    bracket bisects it instead.  The last step is taken and the search
+    stops once it is within 16 ulps of the iterate or the bracket is that
+    narrow; NoConvergence after 100 evaluations of g.
+    """
+    for _ in range(_NEWTON_EVALS):
+        gt = g(t)
+        if gt > 0.0:
+            lo = t
+        elif gt < 0.0:
+            hi = t
+        elif gt == 0.0:
+            return t
+        tol = 16.0 * math.ulp(t)
+        step = gt / dg(t)
+        if abs(step) <= tol or hi - lo <= tol:
+            return t - step if lo <= t - step <= hi else t
+        t -= step
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+    raise NoConvergence(
+        f"no root after {_NEWTON_EVALS} iterations: "
+        f"bracket [{lo:.17g}, {hi:.17g}], last g = {gt:.3e}"
+    )

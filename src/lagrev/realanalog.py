@@ -17,11 +17,10 @@ from .errors import (
     DomainError,
     NoBracket,
     NonMonotone,
-    PoleError,
 )
 from .inversion import F1_forward, FuncSpec, build_context
 from .quadint import QuadraticPowerIntegral, U_antideriv, beta_endpoint
-from .quadrature import quad_oracle
+from .quadrature import newton_decreasing, quad_oracle
 from .series import TruncSeries, eval_series
 from .specfun import inc_beta, k_r, rogers_ramanujan
 
@@ -105,7 +104,10 @@ def hi_of(ctx: RealContext, A) -> float:
 def hi_inverse(
     ctx: RealContext, target: float, lo: float = 0.05, hi: float = 60.0
 ) -> float:
-    """Solve h_i(t) = target on [lo, hi]; h_i is strictly decreasing."""
+    """Solve h_i(t) = target on [lo, hi]: bracketed Newton with the
+    derivative hi_prime from the midpoint.  h_i must be strictly
+    decreasing on the bracket (else NonMonotone) and its range there
+    must hold the target (else NoBracket)."""
     flo = hi_of(ctx, lo)
     fhi = hi_of(ctx, hi)
     if flo <= fhi:
@@ -114,45 +116,8 @@ def hi_inverse(
         raise NoBracket(
             f"target {target:.6g} outside the h_i range [{fhi:.6g}, {flo:.6g}]"
         )
-    a, b = lo, hi
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        if hi_of(ctx, mid) > target:
-            a = mid
-        else:
-            b = mid
-    t = 0.5 * (a + b)
-    for _ in range(6):
-        step = (hi_of(ctx, t) - target) / hi_prime(ctx, t)
-        t -= step
-        if not lo <= t <= hi:
-            t = min(max(t, lo), hi)
-        if abs(step) < 1e-15 * max(1.0, t):
-            break
-    return t
-
-
-def L_inverse_deriv(f: FuncSpec, A: float) -> float:
-    """L_i'(A) = -pi^-2 log(A / f(A))."""
-    if not A > 0:
-        raise DomainError("L_i' needs A > 0")
-    fA = f.evaluator(complex(A)).real
-    if fA == 0:
-        raise PoleError("f vanishes; L_i' undefined")
-    ratio = A / fA
-    if ratio <= 0:
-        raise DomainError("A/f(A) must be positive for the real logarithm")
-    return -math.log(ratio) / math.pi**2
-
-
-def L_inverse_of(f: FuncSpec, A: float, base: float = 1.0, c: float = 0.0) -> float:
-    """L_i(A) = c - pi^-2 int_base^A log(t/f(t)) dt by quadrature."""
-    if not (A > 0 and base > 0):
-        raise DomainError("L_i needs positive abscissae")
-    value, _err = quad_oracle(
-        lambda t: complex(L_inverse_deriv(f, t.real)), complex(base), complex(A)
-    )
-    return c + value.real
+    g = lambda t: hi_of(ctx, t) - target  # noqa: E731
+    return newton_decreasing(g, lambda t: hi_prime(ctx, t), lo, hi, 0.5 * (lo + hi))
 
 
 def L_of(ctx: RealContext, x: float, lo: float = 0.05, hi: float = 60.0) -> float:

@@ -40,11 +40,9 @@ from .quadint import (
     closed_integral_thm13_1,
     closed_integral_thm18,
     f1_integrand,
-    omega,
 )
 from .quadrature import quad_oracle
 from .realanalog import (
-    RealConstants,
     build_real_context,
     f1_real_cross,
     hi_inverse,

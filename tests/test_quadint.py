@@ -5,8 +5,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lagrev.errors import BranchError, DomainError, PoleError
+import lagrev.quadint
+from lagrev.errors import BranchError, DomainError, LagrevError, PoleError
 from lagrev.quadint import (
     B_alpha,
     QuadraticPowerIntegral,
@@ -72,6 +75,32 @@ class TestBetaPoints:
         lhs = B_alpha(beta_r(Fraction(1, 2), n * n * r).beta, alpha)
         rhs = math.sqrt((r + 1) / (n * n * r + 1)) * B_alpha(beta_r(Fraction(1, 2), r).beta, alpha)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=11), st.floats(min_value=-2.0, max_value=3.0))
+def test_beta_r_solve_cost(k, log10_r):
+    """Every beta-point solve takes at most 60 incomplete-beta calls.  Up
+    to m = 3/4 it returns; beyond, inc_beta near x = 1 may raise first."""
+    calls = []
+    inc_beta = lagrev.quadint.inc_beta
+
+    def counted(*args):
+        calls.append(args)
+        return inc_beta(*args)
+
+    m, r = Fraction(k, 12), 10.0**log10_r
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lagrev.quadint, "inc_beta", counted)
+            b = beta_r(m, r).beta
+    except LagrevError:
+        assert k > 9
+    else:
+        alpha = float(1 - m)
+        assert 0 < b < 1
+        assert B_alpha(1 - b, alpha) / B_alpha(b, alpha) == pytest.approx(math.sqrt(r), abs=1e-10)
+    assert len(calls) <= 60
 
 
 class TestClosedIntegral:

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from lagrev.errors import NonIntegrable
-from lagrev.quadrature import quad_oracle
+from lagrev.errors import NoConvergence, NonIntegrable
+from lagrev.quadrature import newton_decreasing, quad_oracle
 from lagrev.specfun import gamma_fn
 
 
@@ -63,3 +63,51 @@ class TestFailure:
     def test_non_integrable_pole(self):
         with pytest.raises(NonIntegrable):
             quad_oracle(lambda t: 1.0 / t if t != 0 else 0j, 0.0, 1.0)
+
+
+class TestNewtonDecreasing:
+    def test_quadratic_convergence(self):
+        seen = []
+
+        def g(t):
+            seen.append(t)
+            return 0.5 - t**3
+
+        root = newton_decreasing(g, lambda t: -3 * t * t, 0.0, 2.0, 1.0)
+        assert root == pytest.approx(0.5 ** (1 / 3), rel=4e-16)
+        assert len(seen) <= 7
+
+    def test_overshooting_step_bisects(self):
+        # from t = 5 the Newton step on -atan(t - 1) lands at t = -17.5,
+        # outside the bracket [0, 5], so the next point is its midpoint
+        seen = []
+
+        def g(t):
+            seen.append(t)
+            return -math.atan(t - 1.0)
+
+        root = newton_decreasing(g, lambda t: -1.0 / (1.0 + (t - 1.0) ** 2), 0.0, 10.0, 5.0)
+        assert seen[:2] == [5.0, 2.5]
+        assert root == pytest.approx(1.0, abs=1e-15)
+
+    def test_bisection_alone_converges(self):
+        # a derivative 1000 times too small sends every Newton step out
+        # of the bracket: the solver degrades to plain bisection
+        seen = []
+
+        def g(t):
+            seen.append(t)
+            return 0.3 - t
+
+        root = newton_decreasing(g, lambda t: -1e-3, 0.0, 1.0, 0.5)
+        assert seen[:4] == [0.5, 0.25, 0.375, 0.3125]
+        assert root == pytest.approx(0.3, abs=1e-15)
+
+    def test_no_convergence_message(self):
+        # bisection alone cannot narrow [0, 1e300] to the root at 1 in 100 steps
+        with pytest.raises(NoConvergence) as exc:
+            newton_decreasing(lambda t: 1.0 - t, lambda t: -1e-300, 0.0, 1e300, 5e299)
+        message = str(exc.value)
+        width = 1e300 / 2**100
+        assert f"after 100 iterations: bracket [0, {width:.17g}]" in message
+        assert f"last g = {1.0 - width:.3e}" in message

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import lagrev.realanalog
 from lagrev.errors import DomainError, NoBracket
 from lagrev.expr import parse_expr
 from lagrev.inversion import to_funcspec
@@ -54,6 +55,23 @@ class TestLevelMap:
         for a in (0.5, 2.0, 10.0):
             target = hi_of(unit_ctx, a)
             assert hi_inverse(unit_ctx, target, 0.05, 60.0) == pytest.approx(a, rel=1e-10)
+
+    def test_inverse_accuracy_and_cost(self, unit_ctx, monkeypatch):
+        level = hi_of
+        lo, hi = level(unit_ctx, 60.0), level(unit_ctx, 0.05)
+        calls = []
+
+        def counted(ctx, a):
+            calls.append(a)
+            return level(ctx, a)
+
+        monkeypatch.setattr(lagrev.realanalog, "hi_of", counted)
+        for k in range(1, 20):
+            x = lo + (hi - lo) * k / 20
+            calls.clear()
+            t = hi_inverse(unit_ctx, x, 0.05, 60.0)
+            assert len(calls) <= 25
+            assert level(unit_ctx, t) == pytest.approx(x, rel=1e-13)
 
     def test_out_of_band_target(self, unit_ctx):
         with pytest.raises(NoBracket):

@@ -44,7 +44,7 @@ from .quadint import (
     closed_integral_thm18,
 )
 from .quadrature import quad_oracle
-from .realanalog import RealConstants, RealContext, RealPoint, build_real_context
+from .realanalog import RealPoint, build_real_context
 from .series import TruncSeries, defining_residual, lagrange_revert, revert_exact
 from .verify import CheckResult, VerificationReport, emit_report, run_suite
 
@@ -72,8 +72,6 @@ __all__ = [
     "ParseError",
     "PoleError",
     "QuadraticPowerIntegral",
-    "RealConstants",
-    "RealContext",
     "RealPoint",
     "TruncSeries",
     "VerificationReport",

@@ -39,7 +39,6 @@ from .quadrature import quad_oracle
 from .realanalog import (
     L_of,
     S_residual,
-    build_real_context,
     f1_real_cross,
     hi_inverse,
     hi_of,
@@ -208,7 +207,7 @@ def _cmd_integral(args) -> int:
 
 
 def _cmd_real(args) -> int:
-    ctx = build_real_context(to_funcspec(parse_expr(args.f), order=args.order), args.order)
+    ctx = build_context(to_funcspec(parse_expr(args.f), order=args.order), args.order)
     if args.op == "hi":
         print(_fmt_real(hi_of(ctx, args.x)))
     elif args.op == "L":

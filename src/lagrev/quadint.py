@@ -131,7 +131,9 @@ def beta_r(m: Fraction, r: float) -> BetaPoint:
     concave with dg/dv = -(1+s) u^alpha (1-u)^(alpha-1), so bracketed
     Newton from u = 1/2 approaches the root from above and never takes
     B0(1-u) closer to x = 1 than the root itself.  NoConvergence unless
-    the ratio residual at t is below 1e-10.
+    the ratio residual B0(1-u)/B0(u) - sqrt(s) is below 1e-10; it is taken
+    at u, not t, because for r < 1 rounding t = 1 - u alone moves the
+    ratio by more than that.
     """
     m = Fraction(m)
     if not (0 < m < 1):
@@ -152,11 +154,10 @@ def beta_r(m: Fraction, r: float) -> BetaPoint:
 
     half = math.log(0.5)
     u = math.exp(newton_decreasing(g, dg, math.log(1e-14), half, half))
-    t = u if r >= 1.0 else 1.0 - u
-    residual = abs(B_alpha(1.0 - t, alpha) / B_alpha(t, alpha) - math.sqrt(r))
+    residual = abs(B_alpha(1.0 - u, alpha) / B_alpha(u, alpha) - math.sqrt(s))
     if residual > 1e-10:
         raise NoConvergence(f"beta_r residual {residual:.3e} did not reach 1e-10")
-    return BetaPoint(m=m, r=float(r), beta=t)
+    return BetaPoint(m=m, r=float(r), beta=u if r >= 1.0 else 1.0 - u)
 
 
 def U_antideriv(q: QuadraticPowerIntegral, x: complex) -> complex:

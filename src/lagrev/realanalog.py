@@ -10,7 +10,7 @@ All free additive constants are fitted, never derived.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     AccuracyLoss,
@@ -18,10 +18,10 @@ from .errors import (
     NoBracket,
     NonMonotone,
 )
-from .inversion import F1_forward, FuncSpec, build_context
+from .inversion import F1_forward, InversionContext, build_context
 from .quadint import QuadraticPowerIntegral, U_antideriv, beta_endpoint
 from .quadrature import newton_decreasing, quad_oracle
-from .series import TruncSeries, eval_series
+from .series import eval_series
 from .specfun import inc_beta, k_r, rogers_ramanujan
 
 
@@ -41,44 +41,15 @@ class RealPoint:
         return math.exp(-math.pi * math.sqrt(self.A))
 
 
-@dataclass(frozen=True)
-class RealConstants:
-    """Fitted additive constants; the paper never pins their values."""
-
-    c: float = 0.0
-    cprime: float = 0.0
-    c1: float = 0.0
-    l1: float = 0.0
-    l2: float = 0.0
-
-
-@dataclass(frozen=True)
-class RealContext:
-    f: FuncSpec
-    w_series: TruncSeries
-    a: tuple[complex, ...]
-    order: int
-    constants: RealConstants = field(default_factory=RealConstants)
-
-
-def build_real_context(
-    f: FuncSpec, order: int, constants: RealConstants | None = None
-) -> RealContext:
-    ctx = build_context(f, order)
-    return RealContext(
-        f=f,
-        w_series=ctx.w_series,
-        a=ctx.a,
-        order=order,
-        constants=constants or RealConstants(),
-    )
+# the real chain runs on an InversionContext; the name stays for existing callers
+build_real_context = build_context
 
 
 def _as_real(x) -> RealPoint:
     return x if isinstance(x, RealPoint) else RealPoint(float(x))
 
 
-def hi_prime(ctx: RealContext, A) -> float:
+def hi_prime(ctx: InversionContext, A) -> float:
     """h_i'(A) = -(1/2) q w'(q) at q = exp(-pi sqrt(A))."""
     q = _as_real(A).q
     value, tail = eval_series(ctx.w_series.derivative(), q)
@@ -87,7 +58,7 @@ def hi_prime(ctx: RealContext, A) -> float:
     return -0.5 * q * value.real
 
 
-def hi_of(ctx: RealContext, A) -> float:
+def hi_of(ctx: InversionContext, A) -> float:
     """h_i(A) = c + pi^-2 sum a_n q^n/n^2 + (sqrt(A)/pi) sum a_n q^n/n."""
     pt = _as_real(A)
     q = pt.q
@@ -98,11 +69,11 @@ def hi_of(ctx: RealContext, A) -> float:
         qn *= q
         s2 += a.real * qn / (n * n)
         s1 += a.real * qn / n
-    return ctx.constants.c + s2 / math.pi**2 + math.sqrt(pt.A) / math.pi * s1
+    return ctx.c.real + s2 / math.pi**2 + math.sqrt(pt.A) / math.pi * s1
 
 
 def hi_inverse(
-    ctx: RealContext, target: float, lo: float = 0.05, hi: float = 60.0
+    ctx: InversionContext, target: float, lo: float = 0.05, hi: float = 60.0
 ) -> float:
     """Solve h_i(t) = target on [lo, hi]: bracketed Newton with the
     derivative hi_prime from the midpoint.  h_i must be strictly
@@ -120,7 +91,7 @@ def hi_inverse(
     return newton_decreasing(g, lambda t: hi_prime(ctx, t), lo, hi, 0.5 * (lo + hi))
 
 
-def L_of(ctx: RealContext, x: float, lo: float = 0.05, hi: float = 60.0) -> float:
+def L_of(ctx: InversionContext, x: float, lo: float = 0.05, hi: float = 60.0) -> float:
     """L(x) = w(exp(-pi sqrt(h(x)))) with h the inverse of h_i."""
     t = hi_inverse(ctx, x, lo, hi)
     q = math.exp(-math.pi * math.sqrt(t))
@@ -135,7 +106,7 @@ def _richardson_d1(fn, x: float, h: float) -> float:
 
 
 def S_residual(
-    ctx: RealContext, x: float, lo: float = 0.05, hi: float = 60.0
+    ctx: InversionContext, x: float, lo: float = 0.05, hi: float = 60.0
 ) -> float:
     """Residual of -L''/L'^3 + pi^-2/L = (pi^-2/2) P0* at the point x.
 
@@ -158,7 +129,7 @@ def S_residual(
 
 
 def thm19_value(
-    ctx: RealContext,
+    ctx: InversionContext,
     q: QuadraticPowerIntegral,
     r1: float,
     r2: float,
@@ -181,7 +152,7 @@ def thm19_value(
 
 
 def thm19_oracle(
-    ctx: RealContext,
+    ctx: InversionContext,
     q: QuadraticPowerIntegral,
     r1: float,
     r2: float,
@@ -204,7 +175,7 @@ def thm19_oracle(
     return value.real
 
 
-def thm20_residual(ctx: RealContext, h_map, A: float, l1: float = 0.0) -> float:
+def thm20_residual(ctx: InversionContext, h_map, A: float, l1: float = 0.0) -> float:
     """|w(exp(-pi sqrt(h(A) - l1))) - L(A)|."""
     shifted = h_map(A) - l1
     if shifted <= 0:
@@ -215,7 +186,7 @@ def thm20_residual(ctx: RealContext, h_map, A: float, l1: float = 0.0) -> float:
 
 
 def thm20_fit(
-    ctx: RealContext, h_map, anchors, span: float = 0.5
+    ctx: InversionContext, h_map, anchors, span: float = 0.5
 ) -> tuple[float, int]:
     """Fit the shift l1 (and report the sign convention) by scanning a
     grid and polishing with golden-section on the summed square residual."""

@@ -1,10 +1,13 @@
 """Truncated formal power series, Lagrange reversion, and the
 Moebius-weighted infinite-product representation.
 
-A :class:`TruncSeries` carries complex coefficients c_0..c_N.  Arithmetic
-never silently extends the truncation order: binary operations truncate
-to the shorter operand.  All values are immutable; every operation is
-pure.
+A :class:`TruncSeries` carries coefficients c_0..c_N of one type: all
+``Fraction`` (exact arithmetic) or ``complex`` (anything else is coerced).
+Arithmetic never silently extends the truncation order: binary operations
+truncate to the shorter operand, and mixing a ``Fraction`` series with a
+complex one gives a complex series.  All values are immutable; every
+operation is pure.  ``lagrange_revert`` and ``revert_exact`` share one
+Newton loop on these series.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Number
 from typing import Sequence
 
 from .errors import (
@@ -27,12 +31,20 @@ DEFAULT_MAX_ORDER = 64
 
 @dataclass(frozen=True)
 class TruncSeries:
-    """Power series sum_{n=0}^{N} coeffs[n] * q^n, truncated at order N."""
+    """Power series sum_{n=0}^{N} coeffs[n] * q^n, truncated at order N.
 
-    coeffs: tuple[complex, ...]
+    The coefficients stay ``Fraction`` when every one of them is a
+    ``Fraction``; otherwise all are converted to ``complex``.  Zeros and
+    ones produced by the arithmetic take the series' own type.
+    """
+
+    coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        coeffs = tuple(self.coeffs)
+        if not all(isinstance(c, Fraction) for c in coeffs):
+            coeffs = tuple(complex(c) for c in coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
         if not self.coeffs:
             raise DomainError("a TruncSeries needs at least the constant term")
 
@@ -40,7 +52,11 @@ class TruncSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> complex:
+    def _scalar(self, value: int):
+        """value as a coefficient of this series' type."""
+        return Fraction(value) if isinstance(self.coeffs[0], Fraction) else complex(value)
+
+    def __getitem__(self, n: int):
         return self.coeffs[n]
 
     def truncated(self, order: int) -> "TruncSeries":
@@ -48,24 +64,28 @@ class TruncSeries:
             return self
         return TruncSeries(self.coeffs[: order + 1])
 
+    def padded(self, order: int) -> "TruncSeries":
+        """The series at exactly this order: truncated, or extended by zeros."""
+        zeros = (self._scalar(0),) * max(0, order - self.order)
+        return TruncSeries(self.coeffs[: order + 1] + zeros)
+
     def __add__(self, other):
-        other = _coerce(other, self.order)
+        if not isinstance(other, TruncSeries):
+            other = constant(other, self.order)
         n = min(self.order, other.order)
         return TruncSeries(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
 
     def __sub__(self, other):
-        other = _coerce(other, self.order)
-        n = min(self.order, other.order)
-        return TruncSeries(tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)))
+        return self + -other
 
     def __neg__(self):
         return TruncSeries(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, Number):
             return TruncSeries(tuple(c * other for c in self.coeffs))
         n = min(self.order, other.order)
-        out = [0j] * (n + 1)
+        out = [self._scalar(0)] * (n + 1)
         for j, cj in enumerate(self.coeffs[: n + 1]):
             if cj == 0:
                 continue
@@ -76,13 +96,13 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self * (1.0 / other)
+        if isinstance(other, Number):
+            return self * (self._scalar(1) / other)
         if other.coeffs[0] == 0:
             raise DegenerateSeries("division by a series with zero constant term")
         n = min(self.order, other.order)
-        inv0 = 1.0 / other.coeffs[0]
-        out = [0j] * (n + 1)
+        inv0 = other._scalar(1) / other.coeffs[0]
+        out = [other._scalar(0)] * (n + 1)
         for k in range(n + 1):
             acc = self.coeffs[k]
             for j in range(1, k + 1):
@@ -92,22 +112,19 @@ class TruncSeries:
 
     def derivative(self) -> "TruncSeries":
         if self.order == 0:
-            return TruncSeries((0j,))
+            return TruncSeries((self._scalar(0),))
         return TruncSeries(tuple((k + 1) * self.coeffs[k + 1] for k in range(self.order)))
 
     def integral(self) -> "TruncSeries":
         """Term-wise antiderivative with zero constant (order grows by 1)."""
-        return TruncSeries((0j,) + tuple(self.coeffs[k] / (k + 1) for k in range(self.order + 1)))
+        return TruncSeries(
+            (self._scalar(0),) + tuple(self.coeffs[k] / (k + 1) for k in range(self.order + 1))
+        )
 
 
-def _coerce(x, order: int) -> TruncSeries:
-    if isinstance(x, TruncSeries):
-        return x
-    return constant(complex(x), order)
-
-
-def constant(value: complex, order: int) -> TruncSeries:
-    return TruncSeries((complex(value),) + (0j,) * order)
+def constant(value, order: int) -> TruncSeries:
+    """The constant series value + 0 q + ... + 0 q^order (Fraction stays exact)."""
+    return TruncSeries((value,)).padded(order)
 
 
 def identity(order: int) -> TruncSeries:
@@ -124,7 +141,7 @@ def compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
         raise CompositionDomain("inner series of a composition must have zero constant term")
     n = min(outer.order, inner.order)
     inner = inner.truncated(n)
-    acc = constant(outer.coeffs[n] if n <= outer.order else 0j, n)
+    acc = constant(outer.coeffs[n], n)
     for k in range(n - 1, -1, -1):
         acc = acc * inner + constant(outer.coeffs[k], n)
     return acc
@@ -158,13 +175,14 @@ def s_log(s: TruncSeries) -> TruncSeries:
 def s_pow(s: TruncSeries, k) -> TruncSeries:
     """s**k for integer or rational/real k.
 
-    Non-negative integer exponents work for any series; everything else
-    requires a nonzero constant term.
+    Non-negative integer exponents work for any series (and keep a
+    Fraction series exact); everything else requires a nonzero constant
+    term and gives a complex series.
     """
     if isinstance(k, Fraction) and k.denominator == 1:
         k = int(k)
     if isinstance(k, int) and k >= 0:
-        acc = constant(1.0, s.order)
+        acc = constant(s._scalar(1), s.order)
         for _ in range(k):
             acc = acc * s
         return acc
@@ -185,123 +203,91 @@ def s_cos(s: TruncSeries) -> TruncSeries:
     return (e_plus + e_minus) * 0.5
 
 
-def lagrange_revert(f: TruncSeries, order: int) -> TruncSeries:
-    """Series w(q) with w(q)/f(w(q)) = q + O(q^{order+1}).
+def _revert(f: TruncSeries, order: int) -> TruncSeries:
+    """Newton iteration on the series equation w = q*f(w), in f's type.
 
-    Solved by Newton iteration on the series equation w = q*f(w); the
-    attained order doubles per step.  f must not vanish at the origin.
+    The start w = f(0) q is exact through q^1, and a step takes a w that
+    is exact through q^n to one exact through q^(2n+2): the error e
+    becomes O(q e^2) (Brent & Kung, J. ACM 25, 1978).  The loop stops as
+    soon as that bound reaches the order, so N = 64 takes 5 steps.  It is
+    private so that a call of revert_exact never counts as one of
+    lagrange_revert.
     """
     if f.coeffs[0] == 0:
         raise ZeroAtOrigin("reversion requires f(0) != 0")
     if order < 1:
         raise DomainError("reversion order must be >= 1")
-    fN = TruncSeries(f.coeffs[: order + 1] + (0j,) * max(0, order - f.order))
-    fprime = TruncSeries(fN.derivative().coeffs + (0j,))
-    w = TruncSeries((0j, fN.coeffs[0]) + (0j,) * (order - 1))
-    for _ in range(order.bit_length() + 2):
-        f_at_w = compose(fN, w)
-        residual = w - _shift(f_at_w)
-        if all(c == 0 for c in residual.coeffs):
-            break
-        slope = constant(1.0, order) - _shift(compose(fprime.truncated(order), w))
+    fN = f.padded(order)
+    fprime = fN.derivative().padded(order)
+    one = constant(fN._scalar(1), order)
+    w = TruncSeries((fN._scalar(0), fN.coeffs[0])).padded(order)
+    exact_through = 1
+    while exact_through < order:
+        residual = w - _shift(compose(fN, w))
+        slope = one - _shift(compose(fprime, w))
         w = w - residual / slope
+        exact_through = 2 * exact_through + 2
     return w
 
 
 def _shift(s: TruncSeries) -> TruncSeries:
     """Multiply by q, keeping the truncation order."""
-    return TruncSeries((0j,) + s.coeffs[:-1]) if s.order >= 1 else TruncSeries((0j,))
+    return TruncSeries((s._scalar(0),) + s.coeffs[:-1])
 
 
-def defining_residual(f: TruncSeries, w: TruncSeries) -> float:
+def lagrange_revert(f: TruncSeries, order: int) -> TruncSeries:
+    """Series w(q) with w(q)/f(w(q)) = q + O(q^{order+1}).
+
+    Solved by Newton iteration on the series equation w = q*f(w), whose
+    attained order doubles per step; the coefficients keep f's type
+    (complex, or Fraction for an exact f).  f must not vanish at the
+    origin.
+    """
+    return _revert(f, order)
+
+
+def defining_residual(f: TruncSeries, w: TruncSeries):
     """max |coefficient| of w(q)/f(w(q)) - q through the common order.
 
-    In double precision the attainable residual is floored near
-    eps * max|c_n|, which for fast-growing reversions (f = e^A, N = 24)
-    is around 1e-8; use the exact-rational path below when the input
-    coefficients are real and a certificate at the 1e-12 level is needed.
+    Exact (a Fraction) for Fraction series.  In double precision the
+    attainable residual is floored near eps * max|c_n|, which for
+    fast-growing reversions (f = e^A, N = 24) is around 1e-8; use
+    revert_exact when the input coefficients are real and a certificate
+    at the 1e-12 level is needed.
     """
     ratio = w / compose(f.truncated(w.order), w)
-    diff = ratio - identity(w.order)
-    return max(abs(c) for c in diff.coeffs)
+    return max(abs(c - 1 if n == 1 else c) for n, c in enumerate(ratio.coeffs))
 
 
-def _pmul(a: list, b: list, n: int) -> list:
-    out = [Fraction(0)] * (n + 1)
-    for j, cj in enumerate(a[: n + 1]):
-        if cj == 0:
-            continue
-        for k in range(min(len(b), n + 1 - j)):
-            out[j + k] += cj * b[k]
-    return out
-
-
-def _pdiv(a: list, b: list, n: int) -> list:
-    if b[0] == 0:
-        raise DegenerateSeries("division by a series with zero constant term")
-    out = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        acc = a[k] if k < len(a) else Fraction(0)
-        for j in range(1, min(k, len(b) - 1) + 1):
-            acc -= b[j] * out[k - j]
-        out[k] = acc / b[0]
-    return out
-
-
-def _pcompose(outer: list, inner: list, n: int) -> list:
-    if inner[0] != 0:
-        raise CompositionDomain("inner series of a composition must have zero constant term")
-    acc = [Fraction(0)] * (n + 1)
-    for k in range(len(outer) - 1, -1, -1):
-        acc = _pmul(acc, inner, n)
-        acc[0] += outer[k]
-    return acc
-
-
-def _exact_coeffs(s, order: int) -> list:
-    coeffs = s.coeffs if isinstance(s, TruncSeries) else tuple(s)
+def _exact_series(s, order: int) -> TruncSeries:
+    """s (a TruncSeries or sequence of real numbers) as a Fraction series
+    of exactly this order; floats are dyadic, hence exact."""
     out = []
-    for c in coeffs[: order + 1]:
-        if isinstance(c, (int, Fraction)):
-            out.append(Fraction(c))
-            continue
-        c = complex(c)
-        if c.imag != 0:
-            raise DomainError("exact reversion requires real coefficients")
-        out.append(Fraction(c.real))
-    out += [Fraction(0)] * (order + 1 - len(out))
-    return out
+    for c in (s.coeffs if isinstance(s, TruncSeries) else tuple(s))[: order + 1]:
+        if isinstance(c, complex):
+            if c.imag != 0:
+                raise DomainError("exact reversion requires real coefficients")
+            c = c.real
+        out.append(Fraction(c))
+    return TruncSeries(tuple(out)).padded(order)
 
 
 def revert_exact(f, order: int) -> list:
     """Exact-rational reversion of w/f(w) = q.
 
     f may be a TruncSeries or coefficient sequence with real entries
-    (floats are dyadic, hence exact).  Returns Fraction coefficients
-    c_0..c_order of w; w/f(w) - q vanishes identically through the order.
+    (floats are dyadic, hence exact).  Runs the Newton loop of
+    lagrange_revert on the Fraction series of f and returns the Fraction
+    coefficients c_0..c_order of w; w/f(w) - q vanishes identically
+    through the order.
     """
-    fx = _exact_coeffs(f, order)
-    if fx[0] == 0:
-        raise ZeroAtOrigin("reversion requires f(0) != 0")
-    fprime = [k * fx[k] for k in range(1, len(fx))] + [Fraction(0)]
-    w = [Fraction(0), fx[0]] + [Fraction(0)] * (order - 1)
-    for _ in range(order.bit_length() + 2):
-        f_at_w = _pcompose(fx, w, order)
-        residual = [w[k] - (f_at_w[k - 1] if k else Fraction(0)) for k in range(order + 1)]
-        if all(c == 0 for c in residual):
-            break
-        slope = [Fraction(1)] + [-c for c in _pcompose(fprime, w, order)[:order]]
-        w = [w[k] - c for k, c in enumerate(_pdiv(residual, slope, order))]
-    return w
+    return list(_revert(_exact_series(f, order), order).coeffs)
 
 
 def defining_residual_exact(f, w: list) -> Fraction:
     """max |coefficient| of w/f(w) - q, all arithmetic exact."""
     order = len(w) - 1
-    fx = _exact_coeffs(f, order)
-    ratio = _pdiv(w, _pcompose(fx, w, order), order)
-    ratio[1] -= 1
-    return max(abs(c) for c in ratio)
+    return defining_residual(_exact_series(f, order), _exact_series(w, order))
 
 
 def eval_series(s: TruncSeries, q: complex) -> tuple[complex, float]:

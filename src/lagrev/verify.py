@@ -43,7 +43,6 @@ from .quadint import (
 )
 from .quadrature import quad_oracle
 from .realanalog import (
-    build_real_context,
     f1_real_cross,
     hi_inverse,
     hi_of,
@@ -347,29 +346,23 @@ def _check_product_form(tol: float) -> _Outcome:
 
 def _check_coefficient_prefactor(tol: float) -> _Outcome:
     # literal (n-1)-th derivative bracket of f(h)^n at 0, over Gamma(n),
-    # for f = 1/(1-h): the central binomial, computed exactly
-    worst_ratio = 0
-    for n in range(2, 7):
-        literal = math.comb(2 * n - 2, n - 1)
-        c_n = literal // n
-        worst_ratio = max(worst_ratio, literal // c_n)
+    # for f = 1/(1-h) is the central binomial; the finding holds while it
+    # equals n*c_n with c_n from the exact reversion of the same f
+    c = qs.revert_exact([Fraction(1)] * 7, 6)
+    err = max(abs(math.comb(2 * n - 2, n - 1) - n * c[n]) for n in range(2, 7))
     return _Outcome(
-        0.0,
+        float(err),
         5,
         "the displayed coefficient formula overcounts by a factor n: the "
         "derivative bracket equals n!*c_n, not (n-1)!*c_n; verified exactly "
         "on the binary-tree family for n = 2..6 (ratio always n); the "
         "reversion engine uses the corrected 1/n normalization",
-        status="recorded",
+        status="recorded" if err == 0 else "fail",
     )
 
 
-def check_eq16_constant() -> CheckResult:
-    """Constancy of the paired-abscissa sum of the modular beta map."""
-    return _run_one("modular_sum_constant", "B", 1e-8, _check_eq16_body)
-
-
 def _check_eq16_body(tol: float) -> _Outcome:
+    """Constancy of the paired-abscissa sum of the modular beta map."""
     cbrt2 = 2.0 ** (1.0 / 3.0)
     values = []
     for z in (0.8j, 1j, 1.25j):
@@ -391,12 +384,8 @@ def _check_eq16_body(tol: float) -> _Outcome:
     )
 
 
-def check_eq18_eta() -> CheckResult:
-    """Derivative of the modular beta map against the eta quartic."""
-    return _run_one("eta_quartic_derivative", "B", 1e-6, _check_eq18_body)
-
-
 def _check_eq18_body(tol: float) -> _Outcome:
+    """Derivative of the modular beta map against the eta quartic."""
     cbrt4 = 2.0 ** (2.0 / 3.0)
 
     def bracket(z: complex) -> complex:
@@ -548,7 +537,7 @@ def _check_real_bridge(tol: float) -> _Outcome:
 def _check_hi_consistency(tol: float) -> _Outcome:
     err = 0.0
     for text in ("exp(A)", "1+A"):
-        ctx = build_real_context(to_funcspec(parse_expr(text), order=40), 40)
+        ctx = build_context(to_funcspec(parse_expr(text), order=40), 40)
         for a1, a2 in ((1.0, 2.0), (2.0, 4.0)):
             v, _ = quad_oracle(lambda t: complex(hi_prime(ctx, t.real)), a1, a2)
             err = max(err, abs(v.real - (hi_of(ctx, a2) - hi_of(ctx, a1))))
@@ -556,7 +545,7 @@ def _check_hi_consistency(tol: float) -> _Outcome:
 
 
 def _check_thm17_residual(tol: float) -> _Outcome:
-    ctx = build_real_context(to_funcspec(parse_expr("exp(A)"), order=48), 48)
+    ctx = build_context(to_funcspec(parse_expr("exp(A)"), order=48), 48)
     lo, hi = 0.2, 60.0
     err = 0.0
     for a in (1.0, 3.0):
@@ -566,7 +555,7 @@ def _check_thm17_residual(tol: float) -> _Outcome:
 
 
 def _real_unit_ctx():
-    return build_real_context(to_funcspec(parse_expr("1"), order=8), 8)
+    return build_context(to_funcspec(parse_expr("1"), order=8), 8)
 
 
 def _check_thm19(tol: float) -> _Outcome:

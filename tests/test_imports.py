@@ -1,8 +1,12 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+private module-level function or class is used somewhere in the package.
 
 No linter ships with the package, so this stands in for the unused-import
-rule: a name bound by an import must be read somewhere in the module, or
-be listed in the module's __all__.
+and dead-code rules: a name bound by an import must be read somewhere in
+the module, or be listed in the module's __all__; a module-level def or
+class whose name starts with one underscore must be named by some code
+outside its own body (in any module, so private helpers shared between
+modules count as used).
 """
 
 from __future__ import annotations
@@ -36,6 +40,30 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def unreferenced_private_defs(sources: dict) -> list[str]:
+    defined = {}
+    used = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = getattr(node, "name", None)
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and own.startswith("_")
+                and not own.startswith("__")
+            ):
+                defined[own] = f"{module}:{node.lineno}"
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    ref = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    ref = sub.attr
+                else:
+                    continue
+                if ref != own:
+                    used.add(ref)
+    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in used)
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -51,3 +79,21 @@ def test_detector():
         "from .x import kept\n__all__ = ['kept']\nmath.pi\nv: Optional[int] = 1\n"
     )
     assert unused_imports(source) == ["Any (line 3)", "os (line 2)"]
+
+
+def test_no_unreferenced_private_defs():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unreferenced_private_defs(sources) == []
+
+
+def test_dead_code_detector():
+    sources = {
+        "a.py": (
+            "def _used():\n    return 1\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "class _Dead:\n    pass\n"
+            "def __dunder__():\n    pass\n"
+        ),
+        "b.py": "from . import a\n\ndef public():\n    return a._used()\n",
+    }
+    assert unreferenced_private_defs(sources) == ["_Dead (a.py:5)", "_recursive (a.py:3)"]

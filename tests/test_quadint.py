@@ -70,6 +70,12 @@ class TestBetaPoints:
             closed = gamma_fn(alpha).real ** 2 / (gamma_fn(2 * alpha).real * (r + 1))
             assert B_alpha(b, alpha) ** 2 == pytest.approx(closed, abs=1e-12)
 
+    def test_small_r_mirrors_large_r(self):
+        # t -> 1 - t swaps r and 1/r; here 1 - t is 5e-11, finer than a
+        # double t near 1 resolves, so the residual is judged at u = 1 - t
+        m = Fraction(5, 6)
+        assert beta_r(m, 0.01).beta == 1 - beta_r(m, 1 / 0.01).beta
+
     def test_interlocking_scaling(self):
         alpha, r, n = 0.5, 2.0, 2
         lhs = B_alpha(beta_r(Fraction(1, 2), n * n * r).beta, alpha)

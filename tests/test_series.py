@@ -74,6 +74,56 @@ class TestExactReversion:
         with pytest.raises(DomainError):
             qs.revert_exact([1.0 + 1.0j], 4)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.fractions(min_value=-12, max_value=12, max_denominator=6),
+            min_size=1,
+            max_size=7,
+        ).filter(lambda c: c[0] != 0),
+        st.integers(min_value=1, max_value=24),
+    )
+    def test_exact_and_float_reversion_agree(self, coeffs, order):
+        w = qs.revert_exact(coeffs, order)
+        assert qs.defining_residual_exact(coeffs, w) == 0
+        wf = qs.lagrange_revert(qs.TruncSeries(tuple(complex(c) for c in coeffs)), order)
+        # a single c_n can be small by cancellation, so each error is
+        # relative to the largest exact coefficient up to order n
+        scale = 0
+        for n in range(1, order + 1):
+            scale = max(scale, abs(w[n]))
+            assert abs(wf[n] - complex(w[n])) <= 1e-12 * scale
+
+    def test_newton_steps_follow_the_doubling_law(self, monkeypatch):
+        # exact through 1, 4, 10, 22, 46, 94: N = 64 needs 5 steps of two
+        # compositions each
+        calls = []
+        compose = qs.compose
+
+        def counted(outer, inner):
+            calls.append(outer.order)
+            return compose(outer, inner)
+
+        monkeypatch.setattr(qs, "compose", counted)
+        qs.lagrange_revert(exponential(64), 64)
+        assert len(calls) == 10
+
+
+class TestCoefficientTypes:
+    def test_fraction_series_stay_exact(self):
+        a = qs.TruncSeries((Fraction(1), Fraction(1, 2), Fraction(1, 3)))
+        b = qs.TruncSeries((Fraction(0), Fraction(2), Fraction(-1, 5)))
+        results = (a + b, a - b, a * b, a / (a + b), qs.compose(a, b), a * 3, a / 3, a + Fraction(1))
+        for s in results:
+            assert all(type(c) is Fraction for c in s.coeffs)
+        assert (a / (a + b) * (a + b)).coeffs == a.coeffs
+
+    def test_mixed_input_becomes_complex(self):
+        exact = qs.TruncSeries((Fraction(1), Fraction(1, 2)))
+        assert qs.TruncSeries((Fraction(1), 0.5)).coeffs == (1 + 0j, 0.5 + 0j)
+        for s in (exact + qs.identity(1), exact * qs.identity(1), exact * 0.5, exact + 1):
+            assert all(type(c) is complex for c in s.coeffs)
+
 
 class TestSeriesAlgebra:
     def test_exp_log_round_trip(self):

@@ -4,13 +4,7 @@ import json
 
 import pytest
 
-from lagrev.verify import (
-    check_eq16_constant,
-    check_eq18_eta,
-    emit_report,
-    report_as_dict,
-    run_suite,
-)
+from lagrev.verify import emit_report, report_as_dict, run_suite
 
 VALID_STATUSES = {"pass", "fail", "recorded", "skipped"}
 
@@ -65,14 +59,14 @@ class TestPaperSuite:
 
 
 class TestNamedChecks:
-    def test_eq16(self):
-        c = check_eq16_constant()
+    def test_eq16(self, paper):
+        c = {c.id: c for c in paper.checks}["modular_sum_constant"]
         assert c.status == "recorded"
         assert c.max_abs_error < 1e-8
         assert "-8.413" in c.notes
 
-    def test_eq18(self):
-        c = check_eq18_eta()
+    def test_eq18(self, paper):
+        c = {c.id: c for c in paper.checks}["eta_quartic_derivative"]
         assert c.status == "pass"
         assert c.max_abs_error < 1e-6
 

@@ -224,10 +224,10 @@ def _cmd_real(args) -> int:
             print(f"abs_err = {_fmt_real(abs(value - oracle))}")
     elif args.op == "thm20":
         h_map = lambda a: hi_inverse(ctx, a, args.lo, args.hi)  # noqa: E731
-        l1, sign = thm20_fit(ctx, h_map, [args.x])
+        l1, sign = thm20_fit(ctx, h_map, [args.x], args.lo, args.hi)
         print(f"l1 = {_fmt_real(l1)}")
         print(f"sign = {sign:+d}")
-        print(f"residual = {_fmt_real(thm20_residual(ctx, h_map, args.x, l1))}")
+        print(f"residual = {_fmt_real(thm20_residual(ctx, h_map, args.x, l1, args.lo, args.hi))}")
     else:  # f1cross
         direct, modular = f1_real_cross(args.x)
         print(f"direct = {_fmt_real(direct)}")

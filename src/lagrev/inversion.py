@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import series as qs
-from .errors import AccuracyLoss, BranchError, NoConvergence, PoleError, ZeroAtOrigin
+from .errors import AccuracyLoss, BranchError, PoleError, ZeroAtOrigin
 from .expr import Node, eval_expr, series_expr
+from .quadrature import newton
 from .series import TruncSeries, eval_series, lagrange_revert
 from .specfun import _as_z, appell_f1, e_map
 
@@ -63,36 +64,36 @@ def build_context(f: FuncSpec, order: int, c: complex = 0j) -> InversionContext:
 
 
 def solve_w_direct(f: FuncSpec, q: complex, tol: float = 1e-13) -> complex:
-    """Newton oracle for w/f(w) = q, seeded at w0 = q*f(0)."""
+    """Newton oracle for w/f(w) = q: quadrature's newton from w0 = q*f(0)."""
     f0 = f.evaluator(0j)
     if f0 == 0:
         raise ZeroAtOrigin("f vanishes at the origin")
-    w = complex(q) * f0
-    for _ in range(64):
-        fw = f.evaluator(w)
-        residual = w / fw - q
-        if abs(residual) < tol:
-            return w
+
+    def slope(w: complex) -> complex:
         # analytic f: central difference is accurate to ~h^2
         h = 1e-7 * (1.0 + abs(w))
+        fw = f.evaluator(w)
         fprime = (f.evaluator(w + h) - f.evaluator(w - h)) / (2 * h)
-        deriv = (fw - w * fprime) / (fw * fw)
-        if deriv == 0:
-            break
-        w -= residual / deriv
-    raise NoConvergence("Newton iteration for w/f(w) = q did not converge")
+        return (fw - w * fprime) / (fw * fw)
+
+    return newton(lambda w: w / f.evaluator(w) - q, slope, complex(q) * f0, tol)
+
+
+def _q_w_prime(ctx: InversionContext, q: complex) -> complex:
+    """q w'(q) = sum a_n q^n; AccuracyLoss once the tail estimate of the
+    series w' exceeds 1e-12."""
+    value, tail = eval_series(TruncSeries(ctx.a), q)
+    if tail > 1e-12:
+        raise AccuracyLoss(f"series tail estimate {tail:.3e} exceeds 1e-12")
+    return q * value
 
 
 def p_of_z(ctx: InversionContext, z) -> complex:
-    """P = 1/(q w'(q)) at q = e(z), from the differentiated series."""
-    q = e_map(_as_z(z)).q
-    wprime = ctx.w_series.derivative()
-    value, tail = eval_series(wprime, q)
-    if tail > 1e-12:
-        raise AccuracyLoss(f"series tail estimate {tail:.3e} exceeds 1e-12")
-    if value == 0 or q == 0:
+    """P = 1/(q w'(q)) at q = e(z), with q w'(q) = sum a_n q^n."""
+    qw = _q_w_prime(ctx, e_map(_as_z(z)).q)
+    if qw == 0:
         raise PoleError("q w'(q) vanishes; P has a pole here")
-    return 1.0 / (q * value)
+    return 1.0 / qw
 
 
 def w_of_q_via_integral(ctx: InversionContext, z) -> complex:
@@ -128,17 +129,12 @@ def F1_inverse_deriv(y: complex) -> complex:
 
 
 def F1_forward(x: complex, tol: float = 1e-12) -> complex:
-    """Inverse of F1_inverse by Newton with the exact derivative."""
+    """Inverse of F1_inverse: quadrature's newton with the exact
+    derivative F1_inverse_deriv, from the leading-order seed (x/6)^(6/5)."""
     x = complex(x)
     if x == 0:
         return 0j
-    y = (x / 6.0) ** (6.0 / 5.0)
-    for _ in range(80):
-        residual = F1_inverse(y) - x
-        if abs(residual) < tol:
-            return y
-        y -= residual / F1_inverse_deriv(y)
-    raise NoConvergence("Newton iteration for F1 did not converge")
+    return newton(lambda y: F1_inverse(y) - x, F1_inverse_deriv, (x / 6.0) ** (6.0 / 5.0), tol)
 
 
 def y_of(ctx: InversionContext, z) -> complex:

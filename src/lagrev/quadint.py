@@ -7,6 +7,9 @@ the antiderivative prefactor is fixed by requiring U'(x) to equal the
 integrand exactly, which also reproduces the real calibration
 (a1, b1, c1, m) = (-1, 0, 1, 1/2) -> U(x) = 2 arcsin sqrt((1+x)/2); the
 phase of the raw textbook prefactor relative to it is kept for reporting.
+A real negative -a1/D1 is taken from below the cut (imaginary part -0.0),
+whatever sign of zero the complex arithmetic left on it, so that real
+a1 > 0 > c1 gives the same branch for either sign of b1.
 """
 
 from __future__ import annotations
@@ -73,8 +76,10 @@ class QuadraticPowerIntegral:
     @property
     def prefactor(self) -> complex:
         """Phase-calibrated prefactor: with it, dU/dx = (quadratic)^(-m)."""
-        mf = float(self.m)
-        return -((-self.a1 / self.D1) ** mf) * self.sqrt_D1 / self.a1
+        ratio = -self.a1 / self.D1
+        if ratio.imag == 0:
+            ratio = complex(ratio.real, -0.0)
+        return -(ratio ** float(self.m)) * self.sqrt_D1 / self.a1
 
     @property
     def prefactor_literal(self) -> complex:
@@ -172,6 +177,8 @@ def U_antideriv(q: QuadraticPowerIntegral, x: complex) -> complex:
 def omega(q: QuadraticPowerIntegral, z: complex) -> complex:
     """Omega(z) = prefactor * Gamma(1-m)^2/Gamma(2-2m) / (1 - z^2)."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"Omega needs a finite argument, got {z}")
     denom = 1.0 - z * z
     if abs(denom) < 1e-14:
         raise PoleError("Omega has poles at z = +-1")

@@ -1,5 +1,7 @@
 """Adaptive Gauss-Kronrod quadrature along straight segments in C, and
-the bracketed Newton solver shared by the root solves.
+the two Newton solvers that every scalar root solve of the package goes
+through: newton_decreasing (real, bracketed) and newton (complex,
+unbracketed).
 
 The integrator is the ground truth the verification suite uses against
 every closed form; it must stay independent of those closed forms.
@@ -226,3 +228,23 @@ def newton_decreasing(
         f"no root after {_NEWTON_EVALS} iterations: "
         f"bracket [{lo:.17g}, {hi:.17g}], last g = {gt:.3e}"
     )
+
+
+def newton(
+    g: Callable[[complex], complex], dg: Callable[[complex], complex], z: complex, tol: float
+) -> complex:
+    """Root of an analytic g by plain Newton steps with the derivative dg
+    from z: the first iterate with |g| < tol.  NoConvergence after 100
+    evaluations of g, or at a zero derivative; the message names the
+    iteration count and the last |g|.
+    """
+    for k in range(1, _NEWTON_EVALS + 1):
+        gz = g(z)
+        if abs(gz) < tol:
+            return z
+        slope = dg(z)
+        if slope == 0:
+            break
+        z -= gz / slope
+    cause = "zero derivative" if slope == 0 else "no root"
+    raise NoConvergence(f"{cause} after {k} iterations: last |g| = {abs(gz):.3e}")

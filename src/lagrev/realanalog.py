@@ -12,17 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    AccuracyLoss,
-    DomainError,
-    NoBracket,
-    NonMonotone,
-)
-from .inversion import F1_forward, InversionContext, build_context
+from .errors import DomainError, NoBracket, NonMonotone
+from .inversion import F1_forward, InversionContext, _q_w_prime, build_context
 from .quadint import QuadraticPowerIntegral, U_antideriv, beta_endpoint
 from .quadrature import newton_decreasing, quad_oracle
 from .series import eval_series
-from .specfun import inc_beta, k_r, rogers_ramanujan
+from .specfun import inc_beta, k_r, rogers_ramanujan, theta3
 
 
 @dataclass(frozen=True)
@@ -50,12 +45,9 @@ def _as_real(x) -> RealPoint:
 
 
 def hi_prime(ctx: InversionContext, A) -> float:
-    """h_i'(A) = -(1/2) q w'(q) at q = exp(-pi sqrt(A))."""
-    q = _as_real(A).q
-    value, tail = eval_series(ctx.w_series.derivative(), q)
-    if tail > 1e-12:
-        raise AccuracyLoss(f"series tail estimate {tail:.3e} exceeds 1e-12")
-    return -0.5 * q * value.real
+    """h_i'(A) = -(1/2) q w'(q) at q = exp(-pi sqrt(A)), with
+    q w'(q) = sum a_n q^n."""
+    return -0.5 * _q_w_prime(ctx, _as_real(A).q).real
 
 
 def hi_of(ctx: InversionContext, A) -> float:
@@ -175,48 +167,33 @@ def thm19_oracle(
     return value.real
 
 
-def thm20_residual(ctx: InversionContext, h_map, A: float, l1: float = 0.0) -> float:
-    """|w(exp(-pi sqrt(h(A) - l1))) - L(A)|."""
+def thm20_residual(
+    ctx: InversionContext, h_map, A: float, l1: float = 0.0, lo: float = 0.05, hi: float = 60.0
+) -> float:
+    """|w(exp(-pi sqrt(h(A) - l1))) - L(A)|, L on the bracket [lo, hi]."""
     shifted = h_map(A) - l1
     if shifted <= 0:
         raise DomainError("h(A) - l1 must be positive")
     qv = math.exp(-math.pi * math.sqrt(shifted))
     w, _tail = eval_series(ctx.w_series, qv)
-    return abs(w.real - L_of(ctx, A))
+    return abs(w.real - L_of(ctx, A, lo, hi))
 
 
 def thm20_fit(
-    ctx: InversionContext, h_map, anchors, span: float = 0.5
+    ctx: InversionContext, h_map, anchors, lo: float = 0.05, hi: float = 60.0
 ) -> tuple[float, int]:
-    """Fit the shift l1 (and report the sign convention) by scanning a
-    grid and polishing with golden-section on the summed square residual."""
+    """Fit the shift l1 (and report the sign convention).
 
-    def cost(l1: float) -> float:
-        total = 0.0
-        for a in anchors:
-            try:
-                total += thm20_residual(ctx, h_map, a, l1) ** 2
-            except DomainError:
-                total += 1e6
-        return total
-
-    grid = [span * (k / 40.0 - 0.5) * 2.0 for k in range(41)]
-    best = min(grid, key=cost)
-    a, b = best - span / 20.0, best + span / 20.0
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1v, f2v = cost(x1), cost(x2)
-    for _ in range(60):
-        if f1v < f2v:
-            b, x2, f2v = x2, x1, f1v
-            x1 = b - phi * (b - a)
-            f1v = cost(x1)
-        else:
-            a, x1, f1v = x1, x2, f2v
-            x2 = a + phi * (b - a)
-            f2v = cost(x2)
-    return 0.5 * (a + b), 1
+    By the defining equation w(q) = L holds at q = L/f(L), so the shift
+    that zeroes the residual at an anchor A is h(A) - (ln(q)/pi)^2 with
+    L = L(A); the fit is the mean over the anchors.
+    """
+    shifts = []
+    for a in anchors:
+        level = L_of(ctx, a, lo, hi)
+        q = level / ctx.f.evaluator(level).real
+        shifts.append(h_map(a) - (math.log(q) / math.pi) ** 2)
+    return sum(shifts) / len(shifts), 1
 
 
 _CBRT4 = 2.0 ** (2.0 / 3.0)
@@ -234,21 +211,29 @@ def f1_real_cross(
 ) -> tuple[float, float]:
     """Two independent values that an identity says coincide:
     F1(A) through the Appell/Newton path, and R(exp(-pi sqrt(m0(A))))
-    through the modular path, m0 inverting modular_abscissa."""
+    through the modular path, m0 inverting modular_abscissa by
+    newton_decreasing in s = sqrt(r), a variable that stays clear of 0.
+    The slope is d lambda/ds = -pi lambda theta4^4 (lambda'(tau) =
+    i pi lambda theta4^4 at tau = i s, lambda = k_r^2) times
+    dB0/d lambda = lambda^(-5/6) (1 - lambda)^(-1/3).
+    """
     g_lo = modular_abscissa(r_lo)
     g_hi = modular_abscissa(r_hi)
     if not (g_hi <= A <= g_lo):
         raise NoBracket(
             f"A={A:.6g} outside the abscissa range [{g_hi:.6g}, {g_lo:.6g}]"
         )
-    a, b = r_lo, r_hi
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if modular_abscissa(mid) > A:
-            a = mid
-        else:
-            b = mid
-    r = 0.5 * (a + b)
-    modular = rogers_ramanujan(math.exp(-math.pi * math.sqrt(r))).real
+
+    def slope(s: float) -> float:
+        lam = k_r(s * s) ** 2
+        theta4 = theta3(-math.exp(-math.pi * s)).real
+        dlam = -math.pi * lam * theta4**4
+        return dlam * lam ** (-5.0 / 6.0) * (1.0 - lam) ** (-1.0 / 3.0) / _CBRT4
+
+    s_lo, s_hi = math.sqrt(r_lo), math.sqrt(r_hi)
+    s = newton_decreasing(
+        lambda t: modular_abscissa(t * t) - A, slope, s_lo, s_hi, 0.5 * (s_lo + s_hi)
+    )
+    modular = rogers_ramanujan(math.exp(-math.pi * s)).real
     direct = F1_forward(A).real
     return direct, modular

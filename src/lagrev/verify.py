@@ -14,12 +14,12 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import series as qs
-from .errors import NoBracket
+from .errors import DomainError, NoBracket
 from .expr import parse_expr
 from .inversion import (
     G_from_P0,
@@ -96,8 +96,8 @@ class CheckResult:
 class VerificationReport:
     suite: str
     tolerance_default: float
-    checks: tuple[CheckResult, ...]
     versions: dict
+    checks: tuple[CheckResult, ...]
 
 
 @dataclass(frozen=True)
@@ -594,7 +594,7 @@ def _check_thm20_fit(tol: float) -> _Outcome:
     ctx = _real_unit_ctx()
     h_map = lambda a: hi_inverse(ctx, a, 0.05, 60.0)  # noqa: E731
     anchors = [0.02, 0.04, 0.06]
-    l1, sign = thm20_fit(ctx, h_map, anchors, span=0.5)
+    l1, sign = thm20_fit(ctx, h_map, anchors)
     err = max(abs(thm20_residual(ctx, h_map, a, l1)) for a in anchors)
     return _Outcome(
         err,
@@ -722,15 +722,15 @@ def _run_one(
 def run_suite(name: str, tol: Optional[float] = None) -> VerificationReport:
     """Run the registered checks for a suite and assemble a report.
 
-    name is "classical" (tier A), "paper" (tier B) or "all".  tol, when
-    given, replaces the per-tier default for checks that do not declare
-    an intrinsic tolerance.  Individual check errors become statuses
-    with notes; the suite itself never raises.
+    name is "classical" (tier A), "paper" (tier B) or "all"; any other
+    name raises DomainError.  tol, when given, replaces the per-tier
+    default for checks that do not declare an intrinsic tolerance.
+    Individual check errors become statuses with notes.
     """
     tiers = _SUITE_TIERS.get(name)
     if tiers is None:
-        tiers = ()
-    default = tol if tol is not None else _TIER_DEFAULTS[tiers[0] if tiers else "A"]
+        raise DomainError(f"unknown suite {name!r}; expected one of {sorted(_SUITE_TIERS)}")
+    default = tol if tol is not None else _TIER_DEFAULTS[tiers[0]]
     checks = []
     for check_id, tier, intrinsic, body in _REGISTRY:
         if tier not in tiers:
@@ -743,33 +743,13 @@ def run_suite(name: str, tol: Optional[float] = None) -> VerificationReport:
     return VerificationReport(
         suite=name,
         tolerance_default=default,
-        checks=tuple(checks),
         versions={"engine": _engine()},
+        checks=tuple(checks),
     )
 
 
-def report_as_dict(r: VerificationReport) -> dict:
-    return {
-        "suite": r.suite,
-        "tolerance_default": r.tolerance_default,
-        "versions": {"engine": r.versions["engine"]},
-        "checks": [
-            {
-                "id": c.id,
-                "tier": c.tier,
-                "status": c.status,
-                "max_abs_error": c.max_abs_error,
-                "tolerance": c.tolerance,
-                "samples": c.samples,
-                "notes": c.notes,
-            }
-            for c in r.checks
-        ],
-    }
-
-
 def emit_report(r: VerificationReport, path) -> None:
-    """Write the report as JSON with a stable field order."""
+    """Write the report as JSON in the field order of the dataclasses."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_as_dict(r), fh, indent=2)
+        json.dump(asdict(r), fh, indent=2)
         fh.write("\n")

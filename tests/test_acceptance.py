@@ -256,7 +256,7 @@ def test_criterion_11_real_analog():
         worst = max(worst, abs(S_residual(exp_ctx, hi_of(exp_ctx, a), 0.2, 60.0)) / 1e-5)
 
     h_map = lambda a: hi_inverse(unit_ctx, a, 0.05, 60.0)  # noqa: E731
-    l1, _sign = thm20_fit(unit_ctx, h_map, [0.02, 0.04], span=0.5)
+    l1, _sign = thm20_fit(unit_ctx, h_map, [0.02, 0.04])
     worst = max(worst, thm20_residual(unit_ctx, h_map, 0.06, l1) / 1e-6)  # held out
     gate(11, "real-analog consistency, level difference, residuals", worst, 1.0)
 

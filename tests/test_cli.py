@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +77,16 @@ class TestIntegral:
         assert payload["abs_err"] < 1e-8
         assert payload["branch_phase"] == pytest.approx(-1.0, abs=1e-10)
 
+    def test_infinite_ratio_in_log_bracket_is_domain_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "integral", "--a1", "-1", "--b1", "0", "--c1", "1",
+            "--m", "1/2", "--r1", "inf", "--r2", "3", "--f1", "exp(A)",
+        )
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
     def test_without_oracle(self, capsys):
         code, out, _ = run(
             capsys,
@@ -101,6 +113,18 @@ class TestReal:
         assert code == 0
         err_line = [l for l in out.splitlines() if l.startswith("abs_err")][0]
         assert float(err_line.split("=")[1]) < 1e-7
+
+    def test_thm20_uses_the_given_bracket(self, capsys):
+        # with the default lower end 0.05, L(0.04) would evaluate w outside
+        # its radius of convergence 1/e
+        code, out, _ = run(
+            capsys, "real", "--op", "thm20", "--f", "exp(A)", "--order", "24",
+            "--x", "0.04", "--lo", "0.2",
+        )
+        assert code == 0
+        values = dict(l.split(" = ") for l in out.splitlines())
+        assert abs(float(values["l1"])) < 1e-12
+        assert float(values["residual"]) <= 1e-12
 
     def test_unreachable_band_is_reported(self, capsys):
         code, _, err = run(
@@ -133,3 +157,18 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "revert")[0] == 1
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(l)[1:] for l in block.splitlines() if l.startswith("lagrev ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_examples_exit_zero(argv, capsys, tmp_path):
+    if "--json" in argv:
+        k = argv.index("--json") + 1
+        argv = argv[:k] + [str(tmp_path / argv[k])] + argv[k + 1 :]
+    assert run(capsys, *argv)[0] == 0

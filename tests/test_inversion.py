@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from lagrev.errors import BranchError, PoleError, ZeroAtOrigin
+from lagrev.errors import AccuracyLoss, BranchError, PoleError, ZeroAtOrigin
 from lagrev.expr import parse_expr
 from lagrev.inversion import (
     G_from_P0,
@@ -63,6 +63,32 @@ class TestReciprocalSeries:
         q = e_map(z).q
         wprime, _ = eval_series(lambert_ctx.w_series.derivative(), q)
         assert abs(p_of_z(lambert_ctx, z) * q * wprime - 1.0) < 1e-12
+
+    def test_matches_differentiated_series(self, lambert_ctx):
+        # reference: 1/(q w'(q)) from the differentiated series w' with
+        # its own tail check; z = 0.1 + iy has |q| = exp(-2 pi y)
+        def reference(y):
+            q = e_map(0.1 + 1j * y).q
+            value, tail = eval_series(lambert_ctx.w_series.derivative(), q)
+            return 1.0 / (q * value), tail > 1e-12
+
+        for k in range(30):
+            y = 0.3 * 1.1**k
+            expected, lossy = reference(y)
+            assert not lossy
+            assert abs(p_of_z(lambert_ctx, 0.1 + 1j * y) - expected) <= 1e-15 * abs(expected)
+        # the tail check trips between the same two adjacent heights
+        lo, hi = 0.1, 0.3
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if reference(mid)[1]:
+                lo = mid
+            else:
+                hi = mid
+        with pytest.raises(AccuracyLoss):
+            p_of_z(lambert_ctx, 0.1 + 1j * lo)
+        expected = reference(hi)[0]
+        assert abs(p_of_z(lambert_ctx, 0.1 + 1j * hi) - expected) <= 1e-15 * abs(expected)
 
     def test_integral_recovers_w(self, lambert_ctx):
         z = 0.2 + 0.6j

@@ -144,6 +144,30 @@ class TestClosedIntegral:
         assert abs(fd - arcsine.evaluate(t)) < 1e-8
 
 
+@pytest.mark.parametrize("r1", [INF, 1.5])
+@pytest.mark.parametrize(
+    "m", [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), Fraction(5, 6)], ids=str
+)
+@pytest.mark.parametrize("b1", [0.1, -0.1])
+def test_real_a1_positive_c1_negative_against_quadrature(b1, m, r1):
+    # -a1/D1 is a negative real whose zero imaginary part carries the
+    # sign of b1; both signs must land on the same side of the cut
+    q = QuadraticPowerIntegral(1.0, b1, -1.0, m)
+    closed = closed_integral_thm18(q, r1, 3.0)
+    a1, a2 = beta_endpoint(q, r1), beta_endpoint(q, 3.0)
+    kwargs = {}
+    if r1 == INF:
+        # a1 is a root of the quadratic: evaluate at distance d from it
+        span = a2 - a1
+        slope = 2.0 * q.a1 * a1 + q.b1
+        kwargs = dict(
+            sing_left=float(m),
+            from_left=lambda d: (span * d * (slope + q.a1 * span * d)) ** -float(m),
+        )
+    direct, _ = quad_oracle(q.evaluate, a1, a2, **kwargs)
+    assert abs(closed - direct) < 1e-9 * max(1.0, abs(direct))
+
+
 class TestLogBracket:
     def test_against_quadrature(self, arcsine):
         c = 1.5 + 0j
@@ -168,6 +192,12 @@ class TestGuards:
     def test_omega_pole(self, arcsine):
         with pytest.raises(PoleError):
             omega(arcsine, 1.0)
+
+    def test_omega_non_finite(self, arcsine):
+        # 1j * sqrt(inf) is nan+infj, the point an infinite ratio maps to
+        for z in (1j * math.sqrt(INF), complex(INF, 0.0), complex(0.0, math.nan)):
+            with pytest.raises(DomainError):
+                omega(arcsine, z)
 
     def test_antiderivative_cut(self, arcsine):
         with pytest.raises(BranchError):

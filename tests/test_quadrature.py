@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import cmath
 import math
 
 import pytest
 
 from lagrev.errors import NoConvergence, NonIntegrable
-from lagrev.quadrature import newton_decreasing, quad_oracle
+from lagrev.quadrature import newton, newton_decreasing, quad_oracle
 from lagrev.specfun import gamma_fn
 
 
@@ -21,8 +22,6 @@ class TestSmooth:
 
     def test_complex_segment(self):
         # integral of exp along a tilted segment is exact by antiderivative
-        import cmath
-
         z1, z2 = 0.0, 1.0 + 0.5j
         value, _ = quad_oracle(cmath.exp, z1, z2)
         assert abs(value - (cmath.exp(z2) - cmath.exp(z1))) < 1e-12
@@ -111,3 +110,33 @@ class TestNewtonDecreasing:
         width = 1e300 / 2**100
         assert f"after 100 iterations: bracket [0, {width:.17g}]" in message
         assert f"last g = {1.0 - width:.3e}" in message
+
+
+class TestNewton:
+    def test_complex_root(self):
+        seen = []
+
+        def g(z):
+            seen.append(z)
+            return z * z + 1.0
+
+        root = newton(g, lambda z: 2.0 * z, 1.0 + 1.0j, 1e-14)
+        assert abs(root - 1j) < 1e-14
+        assert abs(g(root)) < 1e-14
+        assert len(seen) <= 9
+
+    def test_evaluation_cap_message(self):
+        # exp has no root: each step moves z by -1, so after 100
+        # evaluations the last |g| is exp(-99)
+        with pytest.raises(NoConvergence) as exc:
+            newton(cmath.exp, cmath.exp, 0j, 1e-300)
+        message = str(exc.value)
+        assert "after 100 iterations" in message
+        assert f"last |g| = {math.exp(-99):.3e}" in message
+
+    def test_zero_derivative_message(self):
+        with pytest.raises(NoConvergence) as exc:
+            newton(lambda z: z * z + 1.0, lambda z: 2.0 * z, 0j, 1e-14)
+        message = str(exc.value)
+        assert "zero derivative after 1 iterations" in message
+        assert "last |g| = 1.000e+00" in message

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 import lagrev.realanalog
-from lagrev.errors import DomainError, NoBracket
+from lagrev.errors import AccuracyLoss, DomainError, NoBracket
 from lagrev.expr import parse_expr
-from lagrev.inversion import to_funcspec
+from lagrev.inversion import eval_series, to_funcspec
 from lagrev.quadint import QuadraticPowerIntegral
 from lagrev.quadrature import quad_oracle
 from lagrev.realanalog import (
@@ -50,6 +50,30 @@ class TestLevelMap:
         for a1, a2 in ((1.0, 2.0), (2.0, 4.0)):
             v, _ = quad_oracle(lambda t: complex(hi_prime(exp_ctx, t.real)), a1, a2)
             assert abs(v.real - (hi_of(exp_ctx, a2) - hi_of(exp_ctx, a1))) < 1e-10
+
+    def test_derivative_matches_differentiated_series(self, exp_ctx):
+        # reference: the differentiated series w' with its own tail check
+        def reference(a):
+            q = RealPoint(a).q
+            value, tail = eval_series(exp_ctx.w_series.derivative(), q)
+            return -0.5 * q * value.real, tail > 1e-12
+
+        for k in range(40):
+            a = 0.25 * 1.1**k
+            expected, lossy = reference(a)
+            assert not lossy
+            assert hi_prime(exp_ctx, a) == pytest.approx(expected, rel=1e-15, abs=0.0)
+        # the tail check trips between the same two adjacent abscissae
+        lo, hi = 0.1, 0.3
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if reference(mid)[1]:
+                lo = mid
+            else:
+                hi = mid
+        with pytest.raises(AccuracyLoss):
+            hi_prime(exp_ctx, lo)
+        assert hi_prime(exp_ctx, hi) == pytest.approx(reference(hi)[0], rel=1e-15, abs=0.0)
 
     def test_inverse_round_trip(self, unit_ctx):
         for a in (0.5, 2.0, 10.0):
@@ -126,7 +150,7 @@ class TestLevelDifference:
 class TestShiftFit:
     def test_recovers_zero_shift(self, unit_ctx):
         h_map = lambda a: hi_inverse(unit_ctx, a, 0.05, 60.0)  # noqa: E731
-        l1, sign = thm20_fit(unit_ctx, h_map, [0.02, 0.04], span=0.5)
+        l1, sign = thm20_fit(unit_ctx, h_map, [0.02, 0.04])
         assert abs(l1) < 1e-8
         assert sign == 1
         # held-out point
@@ -151,3 +175,33 @@ class TestModularBridge:
     def test_out_of_range(self):
         with pytest.raises(NoBracket):
             f1_real_cross(100.0)
+
+    def test_solve_accuracy_and_cost(self, monkeypatch):
+        # the modular solve alone: count modular_abscissa calls, recover
+        # r from the nome handed to the continued fraction, stub F1
+        abscissa = modular_abscissa
+        calls = []
+        nomes = []
+
+        def counted(r):
+            calls.append(r)
+            return abscissa(r)
+
+        def continued_fraction(q):
+            nomes.append(q)
+            return 0.0
+
+        monkeypatch.setattr(lagrev.realanalog, "modular_abscissa", counted)
+        monkeypatch.setattr(lagrev.realanalog, "rogers_ramanujan", continued_fraction)
+        monkeypatch.setattr(lagrev.realanalog, "F1_forward", lambda a: 0.0)
+        lo, hi = abscissa(50.0), abscissa(0.05)
+        # the grid spans the whole range; the last point has its root
+        # within 1e-12 of r = 1
+        grid = [lo + (hi - lo) * k / 40 for k in range(41)] + [abscissa(1.0) * (1 + 1e-12)]
+        for a in grid:
+            calls.clear()
+            nomes.clear()
+            f1_real_cross(a)
+            assert len(calls) <= 20
+            r = (math.log(nomes[0]) / math.pi) ** 2
+            assert abscissa(r) == pytest.approx(a, rel=1e-13)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -109,11 +110,17 @@ class QuadraticPowerIntegral:
 
 @dataclass(frozen=True)
 class BetaPoint:
-    """Solution beta of B_{1-m}(1-beta)/B_{1-m}(beta) = sqrt(r)."""
+    """Solution beta of B_{1-m}(1-beta)/B_{1-m}(beta) = sqrt(r).
+
+    u = min(beta, 1 - beta) is the solver's root at full precision; for
+    r < 1 the double beta = 1 - u rounds away the digits of u below
+    about 1e-16, so callers that need 1 - beta read u.
+    """
 
     m: Fraction
     r: float
     beta: float
+    u: float
 
 
 def B_alpha(x: float, alpha: float) -> float:
@@ -127,18 +134,23 @@ def B_alpha(x: float, alpha: float) -> float:
     return math.sqrt(inc_beta(x, alpha, alpha).real)
 
 
+_LOG_TINY = math.log(sys.float_info.min)
+_LOG_HALF = math.log(0.5)
+
+
 def beta_r(m: Fraction, r: float) -> BetaPoint:
     """Solve B_{1-m}(1-t)/B_{1-m}(t) = sqrt(r) for t in (0, 1).
 
-    t -> 1 - t turns r into 1/r, so with s = max(r, 1/r) the root u of
-    g(u) = B0(1-u) - s B0(u) (equal parameters alpha = 1-m) lies in
-    (0, 1/2] and t is u or 1 - u.  In v = log u, g is decreasing and
-    concave with dg/dv = -(1+s) u^alpha (1-u)^(alpha-1), so bracketed
-    Newton from u = 1/2 approaches the root from above and never takes
-    B0(1-u) closer to x = 1 than the root itself.  NoConvergence unless
-    the ratio residual B0(1-u)/B0(u) - sqrt(s) is below 1e-10; it is taken
-    at u, not t, because for r < 1 rounding t = 1 - u alone moves the
-    ratio by more than that.
+    t -> 1 - t turns r into 1/r, so with s = max(r, 1/r) the root u lies
+    in (0, 1/2] and t is u or 1 - u.  With equal parameters alpha = 1-m,
+    B0(1-u) = B - B0(u) for the complete value B = B(alpha, alpha), so
+    the equation is B0(u) = B/(1+s).  Bracketed Newton solves
+    g(v) = B/(1+s) - B0(e^v), dg/dv = -u^alpha (1-u)^(alpha-1), in
+    v = log u on [log(float_min), log(1/2)], from the seed
+    log(alpha B/(1+s))/alpha of the leading term B0(u) ~ u^alpha/alpha,
+    clamped to that bracket.  Apart from B itself, no evaluation lies
+    beyond x = 1/2.  NoConvergence unless the ratio residual
+    |sqrt(B/B0(u) - 1) - sqrt(s)| is at most 1e-10.
     """
     m = Fraction(m)
     if not (0 < m < 1):
@@ -148,21 +160,22 @@ def beta_r(m: Fraction, r: float) -> BetaPoint:
     alpha = float(1 - m)
     s = max(r, 1.0 / r)
     ib = lambda u: inc_beta(u, alpha, alpha).real  # noqa: E731
+    complete = ib(1.0)
+    target = complete / (1.0 + s)
 
     def g(v: float) -> float:
-        u = math.exp(v)
-        return ib(1.0 - u) - s * ib(u)
+        return target - ib(math.exp(v))
 
     def dg(v: float) -> float:
         u = math.exp(v)
-        return -(1.0 + s) * u**alpha * (1.0 - u) ** (alpha - 1.0)
+        return -(u**alpha) * (1.0 - u) ** (alpha - 1.0)
 
-    half = math.log(0.5)
-    u = math.exp(newton_decreasing(g, dg, math.log(1e-14), half, half))
-    residual = abs(B_alpha(1.0 - u, alpha) / B_alpha(u, alpha) - math.sqrt(s))
+    seed = min(max(math.log(alpha * target) / alpha, _LOG_TINY), _LOG_HALF)
+    u = math.exp(newton_decreasing(g, dg, _LOG_TINY, _LOG_HALF, seed))
+    residual = abs(math.sqrt(complete / ib(u) - 1.0) - math.sqrt(s))
     if residual > 1e-10:
         raise NoConvergence(f"beta_r residual {residual:.3e} did not reach 1e-10")
-    return BetaPoint(m=m, r=float(r), beta=u if r >= 1.0 else 1.0 - u)
+    return BetaPoint(m=m, r=float(r), beta=u if r >= 1.0 else 1.0 - u, u=u)
 
 
 def U_antideriv(q: QuadraticPowerIntegral, x: complex) -> complex:

@@ -9,6 +9,7 @@ branch parameter.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -192,9 +193,17 @@ def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
 def inc_beta(x, a: float, b: float) -> complex:
     """Incomplete beta B0(x; a, b) = int_0^x t^{a-1} (1-t)^{b-1} dt.
 
-    For |x| <= 0.8 this sums (x^a/a) 2F1(a, 1-b; a+1; x); beyond that it
-    falls back to direct quadrature along the straight segment so that the
-    complete value at x = 1 stays independent of the gamma closed form.
+    Three regimes:
+    - |x| <= 0.8: the series (x^a/a) 2F1(a, 1-b; a+1; x);
+    - real x in (0.8, 1) with b > 0: the reflection (DLMF 8.17.4)
+      B(a, b) - ((1-x)^b/b) 2F1(b, 1-a; b+1; 1-x), where 1 - x is exact
+      and the series argument is at most 0.2; the error is a few ulps of
+      the complete value B(a, b); where B(a, b) overflows the quadrature
+      (b below about 0.03), the quadrature to x instead;
+    - every other x (x == 1, x off the real segment (0.8, 1), or b <= 0):
+      adaptive quadrature along the straight segment [0, x].
+    The complete value B(a, b) is that quadrature at x = 1, computed once
+    per (a, b), so it stays independent of the gamma closed form.
     """
     if a <= 0:
         raise DomainError("inc_beta requires a > 0")
@@ -205,7 +214,26 @@ def inc_beta(x, a: float, b: float) -> complex:
         raise DomainError("inc_beta argument on the cut [1, inf)")
     if abs(x) <= 0.8:
         return _qpow(x, a) / a * hyp2f1(a, 1 - b, a + 1, x)
+    if x.imag == 0 and 0 < x.real < 1 and b > 0:
+        try:
+            complete = _complete_beta(a, b)
+        except OverflowError:
+            # b below about 0.03: the endpoint substitution at x = 1
+            # overflows, while the segment [0, x] stops short of t = 1
+            return _inc_beta_quad(x, a, b)
+        y = 1.0 - x.real
+        return complete - y**b / b * hyp2f1(b, 1 - a, b + 1, y)
+    if x == 1:
+        return _complete_beta(a, b)
+    return _inc_beta_quad(x, a, b)
 
+
+@functools.lru_cache(maxsize=256)
+def _complete_beta(a: float, b: float) -> complex:
+    return _inc_beta_quad(1.0 + 0j, a, b)
+
+
+def _inc_beta_quad(x: complex, a: float, b: float) -> complex:
     def integrand(t: complex) -> complex:
         return _qpow(t, a - 1) * _qpow(1 - t, b - 1)
 

@@ -12,6 +12,7 @@ displayed value).  Grids are fixed so reports are reproducible.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -25,6 +26,7 @@ from .inversion import (
     G_from_P0,
     F1_forward,
     F1_inverse,
+    InversionContext,
     build_context,
     eval_series,
     p_of_z,
@@ -70,6 +72,14 @@ from .specfun import (
 
 _TWO_PI_I = 2j * math.pi
 _INF = float("inf")
+
+
+@functools.cache
+def _context(text: str, order: int) -> InversionContext:
+    """The inversion context of f = text at the given order, built once
+    per process and shared by every check (it is frozen and holds only
+    tuples)."""
+    return build_context(to_funcspec(parse_expr(text), order=order), order)
 
 
 def _engine() -> str:
@@ -143,13 +153,12 @@ def _check_reversion_catalan(tol: float) -> _Outcome:
 
 
 def _check_reversion_vs_newton(tol: float) -> _Outcome:
-    f = to_funcspec(parse_expr("exp(A)"), order=40)
-    ctx = build_context(f, 40)
+    ctx = _context("exp(A)", 40)
     err = 0.0
     grid = [0.05 + 0.02j, -0.08 + 0.03j, 0.1j, 0.12]
     for q in grid:
         via_series, _ = eval_series(ctx.w_series, q)
-        via_newton = solve_w_direct(f, q)
+        via_newton = solve_w_direct(ctx.f, q)
         err = max(err, abs(via_series - via_newton))
     return _Outcome(err, len(grid), "series evaluation against the Newton oracle")
 
@@ -336,7 +345,7 @@ def _check_series_primitives(tol: float) -> _Outcome:
 def _check_product_form(tol: float) -> _Outcome:
     err = 0.0
     for text in ("exp(A)", "1/(1-A)"):
-        ctx = build_context(to_funcspec(parse_expr(text), order=40), 40)
+        ctx = _context(text, 40)
         exponents = qs.product_exponents(ctx.a)
         for q in (0.04, 0.08, 0.05 + 0.03j):
             w, _ = eval_series(ctx.w_series, q)
@@ -410,13 +419,8 @@ def _check_eq18_body(tol: float) -> _Outcome:
     )
 
 
-def _lambert_ctx():
-    f = to_funcspec(parse_expr("exp(A)"), order=48)
-    return build_context(f, 48)
-
-
 def _check_g_chain(tol: float) -> _Outcome:
-    ctx = _lambert_ctx()
+    ctx = _context("exp(A)", 48)
     g = G_from_P0(lambda u: 1.0 + 0j, ctx.c)
     err = 0.0
     grid = [0.1 + 0.5j, -0.2 + 0.6j, 0.4j]
@@ -426,7 +430,7 @@ def _check_g_chain(tol: float) -> _Outcome:
 
 
 def _check_pole_sign(tol: float) -> _Outcome:
-    ctx = _lambert_ctx()
+    ctx = _context("exp(A)", 48)
     g = G_from_P0(lambda u: 1.0 + 0j, ctx.c)
     z = 0.1 + 0.5j
     gy = g(y_of(ctx, z))
@@ -537,7 +541,7 @@ def _check_real_bridge(tol: float) -> _Outcome:
 def _check_hi_consistency(tol: float) -> _Outcome:
     err = 0.0
     for text in ("exp(A)", "1+A"):
-        ctx = build_context(to_funcspec(parse_expr(text), order=40), 40)
+        ctx = _context(text, 40)
         for a1, a2 in ((1.0, 2.0), (2.0, 4.0)):
             v, _ = quad_oracle(lambda t: complex(hi_prime(ctx, t.real)), a1, a2)
             err = max(err, abs(v.real - (hi_of(ctx, a2) - hi_of(ctx, a1))))
@@ -545,7 +549,7 @@ def _check_hi_consistency(tol: float) -> _Outcome:
 
 
 def _check_thm17_residual(tol: float) -> _Outcome:
-    ctx = build_context(to_funcspec(parse_expr("exp(A)"), order=48), 48)
+    ctx = _context("exp(A)", 48)
     lo, hi = 0.2, 60.0
     err = 0.0
     for a in (1.0, 3.0):
@@ -554,12 +558,8 @@ def _check_thm17_residual(tol: float) -> _Outcome:
     return _Outcome(err, 2, "curvature form of the pole-plus-analytic decomposition")
 
 
-def _real_unit_ctx():
-    return build_context(to_funcspec(parse_expr("1"), order=8), 8)
-
-
 def _check_thm19(tol: float) -> _Outcome:
-    ctx = _real_unit_ctx()
+    ctx = _context("1", 8)
     q = QuadraticPowerIntegral(-1.0, 0.0, 1.0, Fraction(1, 2))
     lo, hi = 1e-4, 10.0
     closed = thm19_value(ctx, q, 35.0, 45.0, lo, hi)
@@ -572,7 +572,7 @@ def _check_thm19(tol: float) -> _Outcome:
 
 
 def _check_thm19_small_r(tol: float) -> _Outcome:
-    ctx = _real_unit_ctx()
+    ctx = _context("1", 8)
     q = QuadraticPowerIntegral(-1.0, 0.0, 1.0, Fraction(1, 2))
     try:
         thm19_value(ctx, q, 1.0, 3.0, 1e-4, 10.0)
@@ -591,7 +591,7 @@ def _check_thm19_small_r(tol: float) -> _Outcome:
 
 
 def _check_thm20_fit(tol: float) -> _Outcome:
-    ctx = _real_unit_ctx()
+    ctx = _context("1", 8)
     h_map = lambda a: hi_inverse(ctx, a, 0.05, 60.0)  # noqa: E731
     anchors = [0.02, 0.04, 0.06]
     l1, sign = thm20_fit(ctx, h_map, anchors)
@@ -604,7 +604,7 @@ def _check_thm20_fit(tol: float) -> _Outcome:
 
 
 def _check_real_chain_ode(tol: float) -> _Outcome:
-    ctx = _real_unit_ctx()
+    ctx = _context("1", 8)
     lo, hi = 1e-3, 30.0
     err = 0.0
     for x in (0.04, 0.06):

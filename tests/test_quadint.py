@@ -5,11 +5,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lagrev.quadint
-from lagrev.errors import BranchError, DomainError, LagrevError, PoleError
+from lagrev.errors import BranchError, DomainError, PoleError
 from lagrev.quadint import (
     B_alpha,
     QuadraticPowerIntegral,
@@ -72,9 +72,11 @@ class TestBetaPoints:
 
     def test_small_r_mirrors_large_r(self):
         # t -> 1 - t swaps r and 1/r; here 1 - t is 5e-11, finer than a
-        # double t near 1 resolves, so the residual is judged at u = 1 - t
+        # double t near 1 resolves, so both solves share the same u
         m = Fraction(5, 6)
-        assert beta_r(m, 0.01).beta == 1 - beta_r(m, 1 / 0.01).beta
+        small, large = beta_r(m, 0.01), beta_r(m, 1 / 0.01)
+        assert small.u == large.u == large.beta
+        assert small.beta == 1 - large.beta
 
     def test_interlocking_scaling(self):
         alpha, r, n = 0.5, 2.0, 2
@@ -85,9 +87,14 @@ class TestBetaPoints:
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(min_value=1, max_value=11), st.floats(min_value=-2.0, max_value=3.0))
+@example(9, 3.0)
+@example(10, -2.0)
+@example(11, 3.0)
 def test_beta_r_solve_cost(k, log10_r):
-    """Every beta-point solve takes at most 60 incomplete-beta calls.  Up
-    to m = 3/4 it returns; beyond, inc_beta near x = 1 may raise first."""
+    """Every beta-point solve returns after at most 10 incomplete-beta
+    calls, and its u = min(t, 1 - t) meets the defining ratio to 1e-10
+    against an oracle that shares nothing with the solver's quadrature:
+    B0(1-u) = Gamma(alpha)^2/Gamma(2 alpha) - B0(u)."""
     calls = []
     inc_beta = lagrev.quadint.inc_beta
 
@@ -96,17 +103,16 @@ def test_beta_r_solve_cost(k, log10_r):
         return inc_beta(*args)
 
     m, r = Fraction(k, 12), 10.0**log10_r
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lagrev.quadint, "inc_beta", counted)
-            b = beta_r(m, r).beta
-    except LagrevError:
-        assert k > 9
-    else:
-        alpha = float(1 - m)
-        assert 0 < b < 1
-        assert B_alpha(1 - b, alpha) / B_alpha(b, alpha) == pytest.approx(math.sqrt(r), abs=1e-10)
-    assert len(calls) <= 60
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lagrev.quadint, "inc_beta", counted)
+        bp = beta_r(m, r)
+    assert len(calls) <= 10
+    alpha = float(1 - m)
+    assert 0 < bp.u <= 0.5
+    assert bp.beta == (bp.u if r >= 1 else 1 - bp.u)
+    near = inc_beta(bp.u, alpha, alpha).real
+    far = (gamma_fn(alpha) ** 2 / gamma_fn(2 * alpha)).real - near
+    assert math.sqrt(far / near) == pytest.approx(math.sqrt(max(r, 1 / r)), abs=1e-10)
 
 
 class TestClosedIntegral:

@@ -6,8 +6,29 @@ import math
 import pytest
 
 from lagrev.errors import NoConvergence, NonIntegrable
-from lagrev.quadrature import newton, newton_decreasing, quad_oracle
+from lagrev.quadrature import _WG, _WGK, _XGK, newton, newton_decreasing, quad_oracle
 from lagrev.specfun import gamma_fn
+
+
+def _rule_moment(nodes, weights, centre_weight, k):
+    """The rule's value for the integral of t^k over [-1, 1], k even."""
+    return 2.0 * math.fsum(w * x**k for x, w in zip(nodes, weights)) + (
+        centre_weight if k == 0 else 0.0
+    )
+
+
+class TestGK15Constants:
+    def test_weights_sum_to_two(self):
+        assert abs(_rule_moment(_XGK[:7], _WGK[:7], _WGK[7], 0) - 2.0) <= 4e-16
+        assert abs(_rule_moment(_XGK[1::2], _WG[:3], _WG[3], 0) - 2.0) <= 4e-16
+
+    @pytest.mark.parametrize("k", range(2, 23, 2))
+    def test_kronrod_rule_is_exact_through_degree_22(self, k):
+        assert abs(_rule_moment(_XGK[:7], _WGK[:7], _WGK[7], k) - 2.0 / (k + 1)) <= 1e-15
+
+    @pytest.mark.parametrize("k", range(2, 13, 2))
+    def test_gauss_rule_is_exact_through_degree_12(self, k):
+        assert abs(_rule_moment(_XGK[1::2], _WG[:3], _WG[3], k) - 2.0 / (k + 1)) <= 1e-15
 
 
 class TestSmooth:

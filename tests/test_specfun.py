@@ -7,6 +7,7 @@ import pytest
 
 from lagrev import specfun as sf
 from lagrev.errors import DomainError
+from lagrev.quadrature import quad_oracle
 
 
 class TestTheta:
@@ -89,6 +90,68 @@ class TestIncompleteBeta:
         a, b = 1 / 6, 2 / 3
         total = sf.inc_beta(1.0, a, b)
         assert abs(sf.inc_beta(0.3, a, b) + sf.inc_beta(0.7, b, a) - total) < 1e-10
+
+
+class TestIncompleteBetaReflection:
+    """Real x in (0.8, 1) goes through B(a, b) - B0(1-x; b, a)."""
+
+    def test_a_twelfth_near_one_returns(self):
+        # quadrature up to x raised NonIntegrable from 1 - x = 3e-11 here
+        x = 1 - 3e-11
+        value = sf.inc_beta(x, 1 / 12, 1 / 12).real
+        closed = (sf.gamma_fn(1 / 12) ** 2 / sf.gamma_fn(1 / 6)).real
+        # the tail B0(1-x) is (1-x)^a/a to relative 0.07 (1-x)
+        assert closed - value == pytest.approx(12 * (1 - x) ** (1 / 12), rel=1e-11)
+
+    @pytest.mark.parametrize("a", [1 / 12, 1 / 6, 1 / 3, 1 / 2], ids=["1/12", "1/6", "1/3", "1/2"])
+    def test_halves_add_up_to_the_complete_value(self, a):
+        closed = (sf.gamma_fn(a) ** 2 / sf.gamma_fn(2 * a)).real
+        for k in range(2, 16):
+            x = 1 - 10.0**-k
+            # 1 - x is exact for x in [1/2, 1]: the two halves meet
+            total = sf.inc_beta(x, a, a).real + sf.inc_beta(1 - x, a, a).real
+            assert abs(total - closed) <= 1e-14 * closed
+
+    def test_arcsine(self):
+        # B0(x; 1/2, 1/2) = 2 asin(sqrt(x)) = pi - 2 asin(sqrt(1 - x)), the
+        # second form well conditioned near x = 1
+        for x in (0.81, 0.9, 0.99, 1 - 1e-6, 1 - 1e-12):
+            arcsine = math.pi - 2 * math.asin(math.sqrt(1 - x))
+            assert abs(sf.inc_beta(x, 0.5, 0.5).real - arcsine) < 1e-14
+        assert abs(sf.inc_beta(0.9, 0.5, 0.5).real - 2 * math.asin(math.sqrt(0.9))) < 1e-14
+
+    def test_unequal_parameters_against_quadrature(self):
+        # guards the a <-> b swap of the reflection
+        a, b = 1 / 6, 2 / 3
+        for x in (0.81, 0.9, 0.99):
+            direct, _ = quad_oracle(
+                lambda t: t ** (a - 1) * (1 - t) ** (b - 1),
+                0.0,
+                x,
+                tol=1e-14,
+                sing_left=1 - a,
+                from_left=lambda d: (x * d) ** (a - 1) * (1 - x * d) ** (b - 1),
+            )
+            assert abs(sf.inc_beta(x, a, b) - direct) < 1e-13
+
+    def test_small_b_keeps_the_direct_quadrature(self):
+        # the quadrature for B(1, 0.01) overflows; B0(x; 1, b) = (1 - (1-x)^b)/b
+        for x in (0.81, 0.9, 0.99):
+            closed = (1 - (1 - x) ** 0.01) / 0.01
+            assert abs(sf.inc_beta(x, 1.0, 0.01).real - closed) < 1e-12
+
+    def test_complete_value_is_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return quad_oracle(*args, **kwargs)
+
+        monkeypatch.setattr(sf, "quad_oracle", counted)
+        a, b = 0.3125, 0.4375  # a pair no other test uses
+        for k in range(1, 40):
+            sf.inc_beta(1 - 0.19 / k, a, b)
+        assert len(calls) <= 1
 
 
 class TestLambertW:

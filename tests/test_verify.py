@@ -111,3 +111,20 @@ class TestReports:
         report = run_suite("all")
         tiers = {c.tier for c in report.checks}
         assert tiers == {"A", "B"}
+
+
+def test_each_inversion_context_is_built_once(monkeypatch):
+    import lagrev.verify as verify
+
+    built = []
+    build = verify.build_context
+
+    def counted(f, order):
+        built.append(order)
+        return build(f, order)
+
+    monkeypatch.setattr(verify, "build_context", counted)
+    verify._context.cache_clear()
+    run_suite("all")
+    # exp(A), 1/(1-A) and 1+A at order 40, exp(A) at 48, the unit f at 8
+    assert sorted(built) == [8, 40, 40, 40, 48]

@@ -246,8 +246,8 @@ def _cmd_verify(args) -> int:
         )
     if args.json is not None:
         emit_report(report, args.json)
-    tier_a_failed = any(c.tier == "A" and c.status == "fail" for c in report.checks)
-    return 2 if tier_a_failed else 0
+    failed_tiers = {c.tier for c in report.checks if c.status == "fail"}
+    return 2 if "A" in failed_tiers else 3 if "B" in failed_tiers else 0
 
 
 def _build_parser() -> _Parser:

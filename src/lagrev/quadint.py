@@ -148,8 +148,9 @@ def beta_r(m: Fraction, r: float) -> BetaPoint:
     g(v) = B/(1+s) - B0(e^v), dg/dv = -u^alpha (1-u)^(alpha-1), in
     v = log u on [log(float_min), log(1/2)], from the seed
     log(alpha B/(1+s))/alpha of the leading term B0(u) ~ u^alpha/alpha,
-    clamped to that bracket.  Apart from B itself, no evaluation lies
-    beyond x = 1/2.  NoConvergence unless the ratio residual
+    clamped to that bracket.  No evaluation lies beyond x = 1/2: B itself
+    is the sum of two series at x = 1/2 (see inc_beta), and no step of
+    the solve reaches quadrature.  NoConvergence unless the ratio residual
     |sqrt(B/B0(u) - 1) - sqrt(s)| is at most 1e-10.
     """
     m = Fraction(m)

@@ -83,13 +83,19 @@ def _adaptive(fn, a: float, b: float, tol: float) -> tuple[complex, float]:
             # subdivision bottomed out; a panel this narrow that is still
             # far from tolerance means the integrand diverges inside it
             if err > 1e3 * max(achievable, tol):
-                raise NonIntegrable("divergent integrand at minimal panel width")
+                raise NonIntegrable(
+                    f"divergent integrand at minimal panel width: panel "
+                    f"[{a:.17g}, {b:.17g}], error estimate {err:.3e}, {splits} splits"
+                )
             total += value
             total_err += err
             continue
+        if splits == 20000:
+            raise NonIntegrable(
+                f"adaptive quadrature stalled above tolerance after {splits} "
+                f"splits: panel [{a:.17g}, {b:.17g}], error estimate {err:.3e}"
+            )
         splits += 1
-        if splits > 20000:
-            raise NonIntegrable("adaptive quadrature stalled above tolerance")
         mid = 0.5 * (a + b)
         stack.append((a, mid) + _gk15(fn, a, mid))
         stack.append((mid, b) + _gk15(fn, mid, b))

@@ -74,34 +74,29 @@ def _qpow(q: complex, a: float) -> complex:
 
 def theta2(q) -> complex:
     """Sum over all integers n of q^{(n+1/2)^2}."""
-    q = _as_q(q)
-    if q == 0:
-        return 0j
-    total = 0j
-    n = 0
-    while True:
-        term = 2 * _qpow(q, (n + 0.5) ** 2)
-        total += term
-        if n > 1 and abs(term) < 1e-17 * max(1.0, abs(total)):
-            return total
-        n += 1
-        if n > 2000:
-            raise NoConvergence("theta2 sum did not converge; |q| too close to 1")
+    return _theta_sum("theta2", _as_q(q), 0j, 0, 0.5)
 
 
 def theta3(q) -> complex:
     """Sum over all integers n of q^{n^2}."""
-    q = _as_q(q)
-    total = 1.0 + 0j
-    n = 1
-    while True:
-        term = 2 * _qpow(q, n * n)
+    return _theta_sum("theta3", _as_q(q), 1.0 + 0j, 1, 0)
+
+
+def _theta_sum(name: str, q: complex, total: complex, first: int, shift: float) -> complex:
+    """total + 2 sum_{n >= first} q^{(n+shift)^2}, up to n = 2000."""
+    if q == 0:
+        return total
+    log_q = cmath.log(q)
+    for n in range(first, 2001):
+        k = n + shift
+        term = 2 * cmath.exp(k * k * log_q)
         total += term
         if abs(term) < 1e-17 * max(1.0, abs(total)):
             return total
-        n += 1
-        if n > 2000:
-            raise NoConvergence("theta3 sum did not converge; |q| too close to 1")
+    raise NoConvergence(
+        f"{name} sum did not converge after {n + 1} terms at |q| = {abs(q):.17g}; "
+        f"last |term| = {abs(term):.3e}"
+    )
 
 
 def mstar(z) -> complex:
@@ -187,23 +182,27 @@ def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
         total += term
         if abs(term) < 1e-17 * abs(total):
             return total
-    raise NoConvergence("2F1 series stalled")
+    raise NoConvergence(
+        f"2F1 series stalled after {n + 1} terms at |x| = {abs(x):.17g}; "
+        f"last |term| = {abs(term):.3e}"
+    )
 
 
 def inc_beta(x, a: float, b: float) -> complex:
     """Incomplete beta B0(x; a, b) = int_0^x t^{a-1} (1-t)^{b-1} dt.
 
-    Three regimes:
+    Three regimes, chosen by the distance of x to 0 and to 1:
     - |x| <= 0.8: the series (x^a/a) 2F1(a, 1-b; a+1; x);
-    - real x in (0.8, 1) with b > 0: the reflection (DLMF 8.17.4)
-      B(a, b) - ((1-x)^b/b) 2F1(b, 1-a; b+1; 1-x), where 1 - x is exact
-      and the series argument is at most 0.2; the error is a few ulps of
-      the complete value B(a, b); where B(a, b) overflows the quadrature
-      (b below about 0.03), the quadrature to x instead;
-    - every other x (x == 1, x off the real segment (0.8, 1), or b <= 0):
-      adaptive quadrature along the straight segment [0, x].
-    The complete value B(a, b) is that quadrature at x = 1, computed once
-    per (a, b), so it stays independent of the gamma closed form.
+    - |1 - x| <= 0.8 with b > 0: the reflection (DLMF 8.17.4)
+      B(a, b) - ((1-x)^b/b) 2F1(b, 1-a; b+1; 1-x), real or complex x;
+      1 - x is exact for real x in [1/2, 1], and at x = 1 the tail is 0;
+    - every other x: adaptive quadrature along the straight segment [0, x].
+    x = 1 with b <= 0 raises DomainError: the integral diverges there.
+    The complete value B(a, b) is the sum of the halves B0(1/2; a, b) and
+    B0(1/2; b, a), each in the positive-term form (DLMF 8.17.8)
+    B0(x; a, b) = x^a (1-x)^b/a 2F1(a+b, 1; a+1; x), computed once per
+    (a, b); so for b > 0 no real x in [0, 1] reaches the quadrature, and
+    B(a, b) stays independent of the gamma closed form.
     """
     if a <= 0:
         raise DomainError("inc_beta requires a > 0")
@@ -214,38 +213,23 @@ def inc_beta(x, a: float, b: float) -> complex:
         raise DomainError("inc_beta argument on the cut [1, inf)")
     if abs(x) <= 0.8:
         return _qpow(x, a) / a * hyp2f1(a, 1 - b, a + 1, x)
-    if x.imag == 0 and 0 < x.real < 1 and b > 0:
-        try:
-            complete = _complete_beta(a, b)
-        except OverflowError:
-            # b below about 0.03: the endpoint substitution at x = 1
-            # overflows, while the segment [0, x] stops short of t = 1
-            return _inc_beta_quad(x, a, b)
-        y = 1.0 - x.real
-        return complete - y**b / b * hyp2f1(b, 1 - a, b + 1, y)
+    y = 1 - x
+    if abs(y) <= 0.8 and b > 0:
+        return _complete_beta(a, b) - _qpow(y, b) / b * hyp2f1(b, 1 - a, b + 1, y)
     if x == 1:
-        return _complete_beta(a, b)
+        raise DomainError("the complete beta B(a, b) diverges for b <= 0")
     return _inc_beta_quad(x, a, b)
 
 
 @functools.lru_cache(maxsize=256)
 def _complete_beta(a: float, b: float) -> complex:
-    return _inc_beta_quad(1.0 + 0j, a, b)
+    # every term of both series is positive for a, b > 0
+    return 0.5 ** (a + b) * (hyp2f1(a + b, 1, a + 1, 0.5) / a + hyp2f1(a + b, 1, b + 1, 0.5) / b)
 
 
 def _inc_beta_quad(x: complex, a: float, b: float) -> complex:
     def integrand(t: complex) -> complex:
         return _qpow(t, a - 1) * _qpow(1 - t, b - 1)
-
-    sing_right = max(0.0, 1 - b) if x == 1 else 0.0
-
-    def from_left(d: float) -> complex:
-        t = x * d
-        return _qpow(t, a - 1) * _qpow(1 - t, b - 1)
-
-    def from_right(d: float) -> complex:
-        # only used at x == 1, where the distance to 1 is exactly d
-        return _qpow(1 - d, a - 1) * _qpow(complex(d), b - 1)
 
     value, _err = quad_oracle(
         integrand,
@@ -253,9 +237,7 @@ def _inc_beta_quad(x: complex, a: float, b: float) -> complex:
         x,
         tol=1e-14,
         sing_left=max(0.0, 1 - a),
-        sing_right=sing_right,
-        from_left=from_left,
-        from_right=from_right if sing_right > 0.0 else None,
+        from_left=lambda d: integrand(x * d),
     )
     return value
 
@@ -280,7 +262,10 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: complex, y: complex) 
         if abs(row_sum) < 1e-16 * max(1.0, abs(total)) and m > 2:
             return total
         row_head *= (a + m) * (b1 + m) / ((c + m) * (m + 1)) * x
-    raise NoConvergence("Appell F1 series stalled")
+    raise NoConvergence(
+        f"Appell F1 series stalled after {m + 1} rows at |x| = {abs(x):.17g}, "
+        f"|y| = {abs(y):.17g}; last |row sum| = {abs(row_sum):.3e}"
+    )
 
 
 _BRANCH_POINT = -1.0 / math.e

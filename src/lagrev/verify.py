@@ -125,7 +125,7 @@ class _Outcome:
 # ---------------------------------------------------------------------------
 
 
-def _check_reversion_defining_exact(tol: float) -> _Outcome:
+def _check_reversion_defining_exact() -> _Outcome:
     order = 16
     f = [Fraction(1, math.factorial(k)) for k in range(order + 1)]
     w = qs.revert_exact(f, order)
@@ -141,7 +141,7 @@ def _check_reversion_defining_exact(tol: float) -> _Outcome:
     )
 
 
-def _check_reversion_catalan(tol: float) -> _Outcome:
+def _check_reversion_catalan() -> _Outcome:
     order = 10
     f = qs.TruncSeries(tuple(1.0 + 0j for _ in range(order + 1)))
     w = qs.lagrange_revert(f, order)
@@ -152,7 +152,7 @@ def _check_reversion_catalan(tol: float) -> _Outcome:
     return _Outcome(err, order, "reversion of the geometric series counts binary trees")
 
 
-def _check_reversion_vs_newton(tol: float) -> _Outcome:
+def _check_reversion_vs_newton() -> _Outcome:
     ctx = _context("exp(A)", 40)
     err = 0.0
     grid = [0.05 + 0.02j, -0.08 + 0.03j, 0.1j, 0.12]
@@ -163,7 +163,7 @@ def _check_reversion_vs_newton(tol: float) -> _Outcome:
     return _Outcome(err, len(grid), "series evaluation against the Newton oracle")
 
 
-def _check_mobius_roundtrip(tol: float) -> _Outcome:
+def _check_mobius_roundtrip() -> _Outcome:
     mu_expected = (1, -1, -1, 0, -1, 1, -1, 0, 0, 1)
     err = 0.0
     for n, mu in enumerate(mu_expected, start=1):
@@ -175,7 +175,7 @@ def _check_mobius_roundtrip(tol: float) -> _Outcome:
     return _Outcome(err, 22, "coefficients -> product exponents -> coefficients")
 
 
-def _check_theta_anchor(tol: float) -> _Outcome:
+def _check_theta_anchor() -> _Outcome:
     q1 = math.exp(-math.pi)
     anchor = abs(theta3(q1) - math.pi ** 0.25 / gamma_fn(0.75))
     err = anchor
@@ -185,7 +185,7 @@ def _check_theta_anchor(tol: float) -> _Outcome:
     return _Outcome(err, 3, "theta3 closed form at the lemniscatic nome; quartic sum rule")
 
 
-def _check_singular_modulus(tol: float) -> _Outcome:
+def _check_singular_modulus() -> _Outcome:
     err = abs(k_r(1.0) - 1.0 / math.sqrt(2.0))
     err = max(err, abs(k_r(4.0) - (3.0 - 2.0 * math.sqrt(2.0))))
     for r in (2.0, 3.0):
@@ -193,14 +193,14 @@ def _check_singular_modulus(tol: float) -> _Outcome:
     return _Outcome(err, 4, "singular values and the complementary-modulus relation")
 
 
-def _check_eta_anchor(tol: float) -> _Outcome:
+def _check_eta_anchor() -> _Outcome:
     g14 = gamma_fn(0.25).real
     err = abs(eta(1j) - g14 / (2.0 * math.pi**0.75))
     err = max(err, abs(eta(2j) - g14 / (2.0 ** (11.0 / 8.0) * math.pi**0.75)))
     return _Outcome(err, 2, "eta at i and 2i against gamma closed forms")
 
 
-def _check_gamma_classics(tol: float) -> _Outcome:
+def _check_gamma_classics() -> _Outcome:
     err = abs(gamma_fn(0.5) - math.sqrt(math.pi))
     err = max(err, abs(gamma_fn(5.0) - 24.0))
     err = max(err, abs(gamma_fn(0.3) * gamma_fn(0.7) - math.pi / math.sin(0.3 * math.pi)))
@@ -211,7 +211,7 @@ def _check_gamma_classics(tol: float) -> _Outcome:
     return _Outcome(max(err, abs(dup)), 4, "half-integer value, reflection, duplication")
 
 
-def _check_incomplete_beta_complete(tol: float) -> _Outcome:
+def _check_incomplete_beta_complete() -> _Outcome:
     err = 0.0
     for a, b in ((1.0 / 6.0, 2.0 / 3.0), (0.5, 0.5), (2.0, 3.0)):
         closed = gamma_fn(a) * gamma_fn(b) / gamma_fn(a + b)
@@ -219,7 +219,7 @@ def _check_incomplete_beta_complete(tol: float) -> _Outcome:
     return _Outcome(err, 3, "complete incomplete-beta against the gamma product")
 
 
-def _check_hyp2f1_identities(tol: float) -> _Outcome:
+def _check_hyp2f1_identities() -> _Outcome:
     err = 0.0
     for z in (0.3, -0.5):
         err = max(err, abs(hyp2f1(1.0, 1.0, 2.0, z) + cmath.log(1.0 - z) / z))
@@ -229,14 +229,14 @@ def _check_hyp2f1_identities(tol: float) -> _Outcome:
     return _Outcome(err, 3, "logarithmic case and the Euler transformation")
 
 
-def _check_appell_reduction(tol: float) -> _Outcome:
+def _check_appell_reduction() -> _Outcome:
     a, b1, b2, c, x = 0.25, 0.5, 0.75, 1.5, 0.3
     err = abs(appell_f1(a, b1, b2, c, x, 0.0) - hyp2f1(a, b1, c, x))
     err = max(err, abs(appell_f1(a, b1, b2, c, x, x) - hyp2f1(a, b1 + b2, c, x)))
     return _Outcome(err, 2, "two-variable hypergeometric collapses to Gauss")
 
 
-def _check_lambert_w_defining(tol: float) -> _Outcome:
+def _check_lambert_w_defining() -> _Outcome:
     grid = [0.5, -0.2, 3.0, 1.0 + 1.0j, -0.3 + 0.1j]
     err = 0.0
     for x in grid:
@@ -247,14 +247,14 @@ def _check_lambert_w_defining(tol: float) -> _Outcome:
     return _Outcome(err, len(grid) + 1, "w e^w = x on both real branches and off-axis")
 
 
-def _check_rogers_ramanujan_anchor(tol: float) -> _Outcome:
+def _check_rogers_ramanujan_anchor() -> _Outcome:
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     closed = math.sqrt(phi * math.sqrt(5.0)) - phi
     err = abs(rogers_ramanujan(math.exp(-2.0 * math.pi)) - closed)
     return _Outcome(err, 1, "continued-fraction value at the classical nome")
 
 
-def _check_quadrature_calibration(tol: float) -> _Outcome:
+def _check_quadrature_calibration() -> _Outcome:
     v, _ = quad_oracle(lambda t: t**-0.5, 0.0, 1.0, sing_left=0.5)
     err = abs(v - 2.0)
     v, _ = quad_oracle(
@@ -277,7 +277,7 @@ def _check_quadrature_calibration(tol: float) -> _Outcome:
     return _Outcome(err, 3, "endpoint-singular integrals with known closed forms")
 
 
-def _check_f1_inverse_pair(tol: float) -> _Outcome:
+def _check_f1_inverse_pair() -> _Outcome:
     frozen = {
         0.2: 1.56932424422317538692601316093,
         0.5: 3.39862308863694797496339826298,
@@ -290,7 +290,7 @@ def _check_f1_inverse_pair(tol: float) -> _Outcome:
     return _Outcome(err, 4, "round trip through the quintic-kernel antiderivative")
 
 
-def _check_beta_balance(tol: float) -> _Outcome:
+def _check_beta_balance() -> _Outcome:
     b = beta_r(Fraction(1, 2), 3.0).beta
     err = abs(b - (2.0 - math.sqrt(2.0)) / 4.0)
     for m, r in ((Fraction(1, 2), 3.0), (Fraction(1, 3), 2.0), (Fraction(1, 6), 5.0)):
@@ -304,7 +304,7 @@ def _check_beta_balance(tol: float) -> _Outcome:
     return _Outcome(max(err, abs(lhs - rhs)), 5, "balance points and their scaling law")
 
 
-def _check_thm18_calibration(tol: float) -> _Outcome:
+def _check_thm18_calibration() -> _Outcome:
     q = QuadraticPowerIntegral(-1.0, 0.0, 1.0, Fraction(1, 2))
     err = abs(closed_integral_thm18(q, _INF, 3.0) - math.pi / 4.0)
     err = max(err, abs(closed_integral_thm18(q, _INF, 1.0) - math.pi / 2.0))
@@ -326,7 +326,7 @@ def _check_thm18_calibration(tol: float) -> _Outcome:
     )
 
 
-def _check_series_primitives(tol: float) -> _Outcome:
+def _check_series_primitives() -> _Outcome:
     x = qs.identity(20)
     one_plus = qs.constant(1.0, 20) + x
     err = max(abs(c) for c in (qs.s_exp(qs.s_log(one_plus)) - one_plus).coeffs)
@@ -342,7 +342,7 @@ def _check_series_primitives(tol: float) -> _Outcome:
 # ---------------------------------------------------------------------------
 
 
-def _check_product_form(tol: float) -> _Outcome:
+def _check_product_form() -> _Outcome:
     err = 0.0
     for text in ("exp(A)", "1/(1-A)"):
         ctx = _context(text, 40)
@@ -353,7 +353,7 @@ def _check_product_form(tol: float) -> _Outcome:
     return _Outcome(err, 6, "exp of the reverted series against the product form")
 
 
-def _check_coefficient_prefactor(tol: float) -> _Outcome:
+def _check_coefficient_prefactor() -> _Outcome:
     # literal (n-1)-th derivative bracket of f(h)^n at 0, over Gamma(n),
     # for f = 1/(1-h) is the central binomial; the finding holds while it
     # equals n*c_n with c_n from the exact reversion of the same f
@@ -370,30 +370,33 @@ def _check_coefficient_prefactor(tol: float) -> _Outcome:
     )
 
 
-def _check_eq16_body(tol: float) -> _Outcome:
+# -sqrt(3) Gamma(1/3)^3 / (pi 2^(1/3)), the closed form of both paired sums
+_CBRT2 = 2.0 ** (1.0 / 3.0)
+_G13 = gamma_fn(1.0 / 3.0).real
+_CUBED_GAMMA = -math.sqrt(3.0) * _G13**3 / (math.pi * _CBRT2)
+
+
+def _check_eq16_body() -> _Outcome:
     """Constancy of the paired-abscissa sum of the modular beta map."""
-    cbrt2 = 2.0 ** (1.0 / 3.0)
     values = []
     for z in (0.8j, 1j, 1.25j):
         total = 0.0
         for point in (2.0 * z, -2.0 / z):
             total += inc_beta(mstar(point) ** 2, 1.0 / 6.0, 2.0 / 3.0).real
-        values.append(-cbrt2 * total)
+        values.append(-_CBRT2 * total)
     spread = max(values) - min(values)
-    g13 = gamma_fn(1.0 / 3.0).real
-    cubed = -math.sqrt(3.0) * g13**3 / (math.pi * cbrt2)
-    uncubed = -math.sqrt(3.0) * g13 / (math.pi * cbrt2)
+    uncubed = -math.sqrt(3.0) * _G13 / (math.pi * _CBRT2)
     return _Outcome(
         spread,
         3,
         f"constant {values[1]:.12f}; matches the cubed-gamma closed form "
-        f"{cubed:.12f} (difference {abs(values[1] - cubed):.2e}); the "
+        f"{_CUBED_GAMMA:.12f} (difference {abs(values[1] - _CUBED_GAMMA):.2e}); the "
         f"uncubed variant {uncubed:.6f} does not match",
         status="recorded",
     )
 
 
-def _check_eq18_body(tol: float) -> _Outcome:
+def _check_eq18_body() -> _Outcome:
     """Derivative of the modular beta map against the eta quartic."""
     cbrt4 = 2.0 ** (2.0 / 3.0)
 
@@ -419,7 +422,7 @@ def _check_eq18_body(tol: float) -> _Outcome:
     )
 
 
-def _check_g_chain(tol: float) -> _Outcome:
+def _check_g_chain() -> _Outcome:
     ctx = _context("exp(A)", 48)
     g = G_from_P0(lambda u: 1.0 + 0j, ctx.c)
     err = 0.0
@@ -429,7 +432,7 @@ def _check_g_chain(tol: float) -> _Outcome:
     return _Outcome(err, len(grid), "the pole-shape function cancels the reciprocal series")
 
 
-def _check_pole_sign(tol: float) -> _Outcome:
+def _check_pole_sign() -> _Outcome:
     ctx = _context("exp(A)", 48)
     g = G_from_P0(lambda u: 1.0 + 0j, ctx.c)
     z = 0.1 + 0.5j
@@ -445,7 +448,7 @@ def _check_pole_sign(tol: float) -> _Outcome:
     )
 
 
-def _check_analytic_completion(tol: float) -> _Outcome:
+def _check_analytic_completion() -> _Outcome:
     cases = [
         ("exp(A)", lambda w: w),
         ("exp(sin(A))", cmath.sin),
@@ -464,7 +467,7 @@ def _check_analytic_completion(tol: float) -> _Outcome:
     return _Outcome(err, 10, "log-derivative chain; " + "; ".join(notes))
 
 
-def _check_thm13_1(tol: float) -> _Outcome:
+def _check_thm13_1() -> _Outcome:
     q = QuadraticPowerIntegral(-1.0, 0.0, 1.0, Fraction(1, 2))
     c = 1.5 + 0j
     # purely imaginary z = i sqrt(r) makes the balance point real: the
@@ -490,7 +493,7 @@ def _h0(a: complex) -> complex:
     return cmath.exp(-_C11 - w) * (_C11 + w)
 
 
-def _check_lambert_involution(tol: float) -> _Outcome:
+def _check_lambert_involution() -> _Outcome:
     err = 0.0
     grid = [0.01, 0.02, 0.03, 0.04, 0.05]
     for a in grid:
@@ -504,7 +507,7 @@ def _check_lambert_involution(tol: float) -> _Outcome:
     )
 
 
-def _check_lambda_derivative(tol: float) -> _Outcome:
+def _check_lambda_derivative() -> _Outcome:
     def lam(a: complex) -> complex:
         return cmath.log(_h0(e_map(a).q)) / _TWO_PI_I
 
@@ -525,7 +528,7 @@ def _check_lambda_derivative(tol: float) -> _Outcome:
     )
 
 
-def _check_real_bridge(tol: float) -> _Outcome:
+def _check_real_bridge() -> _Outcome:
     err = 0.0
     grid = [2.5, 2.9, 3.4]
     for a in grid:
@@ -538,7 +541,7 @@ def _check_real_bridge(tol: float) -> _Outcome:
     )
 
 
-def _check_hi_consistency(tol: float) -> _Outcome:
+def _check_hi_consistency() -> _Outcome:
     err = 0.0
     for text in ("exp(A)", "1+A"):
         ctx = _context(text, 40)
@@ -548,7 +551,7 @@ def _check_hi_consistency(tol: float) -> _Outcome:
     return _Outcome(err, 4, "level-map increments against quadrature of its derivative")
 
 
-def _check_thm17_residual(tol: float) -> _Outcome:
+def _check_thm17_residual() -> _Outcome:
     ctx = _context("exp(A)", 48)
     lo, hi = 0.2, 60.0
     err = 0.0
@@ -558,7 +561,7 @@ def _check_thm17_residual(tol: float) -> _Outcome:
     return _Outcome(err, 2, "curvature form of the pole-plus-analytic decomposition")
 
 
-def _check_thm19(tol: float) -> _Outcome:
+def _check_thm19() -> _Outcome:
     ctx = _context("1", 8)
     q = QuadraticPowerIntegral(-1.0, 0.0, 1.0, Fraction(1, 2))
     lo, hi = 1e-4, 10.0
@@ -571,7 +574,7 @@ def _check_thm19(tol: float) -> _Outcome:
     )
 
 
-def _check_thm19_small_r(tol: float) -> _Outcome:
+def _check_thm19_small_r() -> _Outcome:
     ctx = _context("1", 8)
     q = QuadraticPowerIntegral(-1.0, 0.0, 1.0, Fraction(1, 2))
     try:
@@ -590,7 +593,7 @@ def _check_thm19_small_r(tol: float) -> _Outcome:
     )
 
 
-def _check_thm20_fit(tol: float) -> _Outcome:
+def _check_thm20_fit() -> _Outcome:
     ctx = _context("1", 8)
     h_map = lambda a: hi_inverse(ctx, a, 0.05, 60.0)  # noqa: E731
     anchors = [0.02, 0.04, 0.06]
@@ -603,7 +606,7 @@ def _check_thm20_fit(tol: float) -> _Outcome:
     )
 
 
-def _check_real_chain_ode(tol: float) -> _Outcome:
+def _check_real_chain_ode() -> _Outcome:
     ctx = _context("1", 8)
     lo, hi = 1e-3, 30.0
     err = 0.0
@@ -622,22 +625,19 @@ def _check_real_chain_ode(tol: float) -> _Outcome:
     )
 
 
-def _check_fy_sum_real(tol: float) -> _Outcome:
-    cbrt2 = 2.0 ** (1.0 / 3.0)
+def _check_fy_sum_real() -> _Outcome:
     values = []
     for r in (1.0, 2.0, 4.0):
         total = 0.0
         for s in (4.0 * r, 4.0 / r):
             total += inc_beta(k_r(s) ** 2, 1.0 / 6.0, 2.0 / 3.0).real
-        values.append(-cbrt2 * total)
+        values.append(-_CBRT2 * total)
     spread = max(values) - min(values)
-    g13 = gamma_fn(1.0 / 3.0).real
-    cubed = -math.sqrt(3.0) * g13**3 / (math.pi * cbrt2)
     return _Outcome(
         spread,
         3,
         f"real-nome constant {values[0]:.12f} agrees with the cubed-gamma "
-        f"closed form (difference {abs(values[0] - cubed):.2e}); the "
+        f"closed form (difference {abs(values[0] - _CUBED_GAMMA):.2e}); the "
         "displayed value omits the cube",
         status="recorded",
     )
@@ -650,7 +650,7 @@ def _check_fy_sum_real(tol: float) -> _Outcome:
 _TIER_DEFAULTS = {"A": 1e-10, "B": 1e-8}
 
 # (id, tier, intrinsic tolerance or None for the suite default, body)
-_REGISTRY: list[tuple[str, str, Optional[float], Callable[[float], _Outcome]]] = [
+_REGISTRY: list[tuple[str, str, Optional[float], Callable[[], _Outcome]]] = [
     ("reversion_defining_exact", "A", None, _check_reversion_defining_exact),
     ("reversion_catalan", "A", None, _check_reversion_catalan),
     ("reversion_vs_newton", "A", None, _check_reversion_vs_newton),
@@ -693,10 +693,10 @@ _SUITE_TIERS = {"classical": ("A",), "paper": ("B",), "all": ("A", "B")}
 
 
 def _run_one(
-    check_id: str, tier: str, tolerance: float, body: Callable[[float], _Outcome]
+    check_id: str, tier: str, tolerance: float, body: Callable[[], _Outcome]
 ) -> CheckResult:
     try:
-        out = body(tolerance)
+        out = body()
     except Exception as exc:  # findings, not crashes
         return CheckResult(
             id=check_id,

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from lagrev import verify
 from lagrev.cli import main
 
 
@@ -149,6 +150,16 @@ class TestVerify:
             payload = json.load(fh)
         assert list(payload) == ["suite", "tolerance_default", "versions", "checks"]
         assert all(c["status"] in {"pass", "fail", "recorded", "skipped"} for c in payload["checks"])
+
+    def test_tier_b_failure_exits_three(self, capsys, monkeypatch):
+        fails = lambda: verify._Outcome(1.0, 1)  # noqa: E731
+        monkeypatch.setattr(verify, "_REGISTRY", [("finding", "B", None, fails)])
+        code, out, _ = run(capsys, "verify", "--suite", "all")
+        assert code == 3
+        assert out.startswith("FAIL     finding")
+        # a tier-A failure still takes precedence
+        verify._REGISTRY.append(("identity", "A", None, fails))
+        assert run(capsys, "verify", "--suite", "all")[0] == 2
 
 
 class TestUsage:

@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lagrev import specfun as sf
-from lagrev.errors import DomainError
+from lagrev.errors import DomainError, NoConvergence
+from lagrev.quadint import beta_r
 from lagrev.quadrature import quad_oracle
 
 
@@ -71,6 +76,19 @@ class TestHypergeometric:
         rhs = (1 - x) ** (c - a - b) * sf.hyp2f1(c - a, c - b, c, x)
         assert abs(lhs - rhs) < 1e-13
 
+    def test_stall_names_its_count_and_last_term(self):
+        x = 1 - 1e-4
+        with pytest.raises(NoConvergence) as info:
+            sf.hyp2f1(0.5, 0.5, 1.0, x)
+        message = str(info.value)
+        assert "100000 terms" in message
+        # the term after n steps is ((1/2)_n / n!)^2 x^n
+        n = 100000
+        log_pochhammer = math.lgamma(n + 0.5) - math.lgamma(0.5) - math.lgamma(n + 1)
+        last = math.exp(2 * log_pochhammer + n * math.log(x))
+        reported = float(re.search(r"last \|term\| = (\S+)", message).group(1))
+        assert reported == pytest.approx(last, rel=1e-3)
+
     def test_appell_reductions(self):
         a, b1, b2, c, x = 0.25, 0.5, 0.75, 1.5, 0.3
         assert abs(sf.appell_f1(a, b1, b2, c, x, 0.0) - sf.hyp2f1(a, b1, c, x)) < 1e-13
@@ -134,13 +152,13 @@ class TestIncompleteBetaReflection:
             )
             assert abs(sf.inc_beta(x, a, b) - direct) < 1e-13
 
-    def test_small_b_keeps_the_direct_quadrature(self):
-        # the quadrature for B(1, 0.01) overflows; B0(x; 1, b) = (1 - (1-x)^b)/b
-        for x in (0.81, 0.9, 0.99):
-            closed = (1 - (1 - x) ** 0.01) / 0.01
-            assert abs(sf.inc_beta(x, 1.0, 0.01).real - closed) < 1e-12
+    def test_small_b_by_the_series_up_to_one(self):
+        # B0(x; 1, b) = (1 - (1-x)^b)/b; a quadrature to x = 1 overflows at b = 0.01
+        for x in (0.81, 0.9, 0.99, 1 - 1e-12, 1.0):
+            closed = -math.expm1(0.01 * math.log1p(-x)) / 0.01 if x < 1 else 100.0
+            assert abs(sf.inc_beta(x, 1.0, 0.01).real - closed) <= 1e-13 * closed
 
-    def test_complete_value_is_computed_once(self, monkeypatch):
+    def test_real_segment_never_reaches_quadrature(self, monkeypatch):
         calls = []
 
         def counted(*args, **kwargs):
@@ -148,10 +166,53 @@ class TestIncompleteBetaReflection:
             return quad_oracle(*args, **kwargs)
 
         monkeypatch.setattr(sf, "quad_oracle", counted)
-        a, b = 0.3125, 0.4375  # a pair no other test uses
-        for k in range(1, 40):
-            sf.inc_beta(1 - 0.19 / k, a, b)
-        assert len(calls) <= 1
+        for a, b in ((0.3125, 0.4375), (1 / 12, 1 / 12), (1.0, 0.01), (40.5, 40.5)):
+            for k in range(0, 41):
+                sf.inc_beta(k / 40, a, b)
+            sf.inc_beta(1 - 1e-15, a, b)
+        assert calls == []
+
+    @pytest.mark.parametrize("a, b", [(1 / 6, 1 / 6), (1 / 2, 1 / 2), (1 / 6, 2 / 3)])
+    def test_complex_points_near_one_against_quadrature(self, a, b):
+        for x in (0.9 + 0.3j, 1.3 - 0.2j, 0.7 + 0.5j):
+            direct, _ = quad_oracle(
+                lambda t: t ** (a - 1) * (1 - t) ** (b - 1),
+                0j,
+                x,
+                tol=1e-14,
+                sing_left=1 - a,
+                from_left=lambda d: (x * d) ** (a - 1) * (1 - x * d) ** (b - 1),
+            )
+            assert abs(sf.inc_beta(x, a, b) - direct) <= 1e-13 * abs(direct)
+
+
+class TestCompleteBeta:
+    """B(a, b) = B0(1/2; a, b) + B0(1/2; b, a), each by a positive-term series."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.floats(min_value=1e-3, max_value=50.0),
+        st.floats(min_value=1e-3, max_value=50.0),
+    )
+    @example(40.5, 40.5)
+    @example(1.0, 0.01)
+    def test_against_the_gamma_product(self, a, b):
+        # math.gamma itself errs up to about 3e-14 relative here
+        closed = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+        assert abs(sf.inc_beta(1.0, a, b).real - closed) <= 1e-13 * closed
+
+    def test_beta_point_at_small_alpha(self):
+        # the x = 1 quadrature overflowed for alpha = 1/100
+        alpha, s = 0.01, 2.0
+        bp = beta_r(Fraction(99, 100), s)
+        closed = math.gamma(alpha) ** 2 / math.gamma(2 * alpha)
+        assert sf.inc_beta(bp.u, alpha, alpha).real * (1 + s) == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("b", [0.0, -0.5])
+    def test_divergent_complete_value_raises(self, b):
+        # its own diagnosis, not the quadrature's check of an endpoint exponent
+        with pytest.raises(DomainError, match=r"B\(a, b\) diverges for b <= 0"):
+            sf.inc_beta(1.0, 0.5, b)
 
 
 class TestLambertW:

@@ -192,10 +192,11 @@ def inc_beta(x, a: float, b: float) -> complex:
     """Incomplete beta B0(x; a, b) = int_0^x t^{a-1} (1-t)^{b-1} dt.
 
     Three regimes, chosen by the distance of x to 0 and to 1:
-    - |x| <= 0.8: the series (x^a/a) 2F1(a, 1-b; a+1; x);
+    - |x| <= 0.8: the series B0(x; a, b) of _b0_series;
     - |1 - x| <= 0.8 with b > 0: the reflection (DLMF 8.17.4)
-      B(a, b) - ((1-x)^b/b) 2F1(b, 1-a; b+1; 1-x), real or complex x;
-      1 - x is exact for real x in [1/2, 1], and at x = 1 the tail is 0;
+      B(a, b) - B0(1-x; b, a), real or complex x, the tail by the same
+      series; 1 - x is exact for real x in [1/2, 1], and at x = 1 the
+      tail is 0;
     - every other x: adaptive quadrature along the straight segment [0, x].
     x = 1 with b <= 0 raises DomainError: the integral diverges there.
     The complete value B(a, b) is the sum of the halves B0(1/2; a, b) and
@@ -212,13 +213,29 @@ def inc_beta(x, a: float, b: float) -> complex:
     if x.imag == 0 and x.real > 1:
         raise DomainError("inc_beta argument on the cut [1, inf)")
     if abs(x) <= 0.8:
-        return _qpow(x, a) / a * hyp2f1(a, 1 - b, a + 1, x)
+        return _b0_series(x, a, b)
     y = 1 - x
     if abs(y) <= 0.8 and b > 0:
-        return _complete_beta(a, b) - _qpow(y, b) / b * hyp2f1(b, 1 - a, b + 1, y)
+        return _complete_beta(a, b) - _b0_series(y, b, a)
     if x == 1:
         raise DomainError("the complete beta B(a, b) diverges for b <= 0")
     return _inc_beta_quad(x, a, b)
+
+
+def _b0_series(x: complex, a: float, b: float) -> complex:
+    """B0(x; a, b) for |x| <= 0.8 by a hypergeometric series.
+
+    For real x in (0, 0.8] with b > 1 the terms of 2F1(a, 1-b; a+1; x)
+    alternate while n < b - 1 and grow far above the sum before they
+    cancel (to a relative error near 1e12 at B0(0.8; 40.5, 40.5)), so
+    there the positive-term form x^a (1-x)^b/a 2F1(a+b, 1; a+1; x) of
+    DLMF 8.17.8 is used.  Every other x keeps (x^a/a) 2F1(a, 1-b; a+1; x):
+    for b <= 1 its terms are positive on (0, 0.8], and off the positive
+    axis those of the 8.17.8 form do not stay positive either.
+    """
+    if b > 1 and x.imag == 0 and x.real > 0:
+        return _qpow(x, a) * _qpow(1 - x, b) / a * hyp2f1(a + b, 1, a + 1, x)
+    return _qpow(x, a) / a * hyp2f1(a, 1 - b, a + 1, x)
 
 
 @functools.lru_cache(maxsize=256)

@@ -37,6 +37,12 @@ class TestReversion:
         w = qs.lagrange_revert(f, 12)
         assert qs.defining_residual(f, w) < 1e-13
 
+    def test_defining_residual_is_relative(self):
+        # c_64 of e^A is near 5e24, so the absolute residual reads 1e8-1e9
+        # for coefficients good to 6e-16 of the largest
+        f = exponential(64)
+        assert qs.defining_residual(f, qs.lagrange_revert(f, 64)) < 1e-13
+
     def test_zero_at_origin_rejected(self):
         with pytest.raises(ZeroAtOrigin):
             qs.lagrange_revert(qs.identity(4), 4)
@@ -96,7 +102,7 @@ class TestExactReversion:
 
     def test_newton_steps_follow_the_doubling_law(self, monkeypatch):
         # exact through 1, 4, 10, 22, 46, 94: N = 64 needs 5 steps of two
-        # compositions each
+        # compositions each, and each step works at the order it reaches
         calls = []
         compose = qs.compose
 
@@ -106,7 +112,26 @@ class TestExactReversion:
 
         monkeypatch.setattr(qs, "compose", counted)
         qs.lagrange_revert(exponential(64), 64)
-        assert len(calls) == 10
+        assert calls == [4, 4, 10, 10, 22, 22, 46, 46, 64, 64]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.fractions(min_value=-5, max_value=5, max_denominator=4),
+            min_size=1,
+            max_size=5,
+        ).filter(lambda c: c[0] != 0),
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_lagrange_coefficient_law(self, coeffs, order):
+        # c_n = (1/n) [A^(n-1)] f(A)^n, with f^n by plain list products
+        f = (coeffs + [Fraction(0)] * order)[:order]
+        power = [Fraction(1)] + [Fraction(0)] * (order - 1)
+        expected = [Fraction(0)]
+        for n in range(1, order + 1):
+            power = [sum(power[j] * f[k - j] for j in range(k + 1)) for k in range(order)]
+            expected.append(power[n - 1] / n)
+        assert qs.revert_exact(coeffs, order) == expected
 
 
 class TestCoefficientTypes:

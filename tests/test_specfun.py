@@ -186,6 +186,23 @@ class TestIncompleteBetaReflection:
             assert abs(sf.inc_beta(x, a, b) - direct) <= 1e-13 * abs(direct)
 
 
+class TestIncompleteBetaLargeParameters:
+    """B0(x; a, b) for b > 1 on (0, 0.8] by the positive-term form of DLMF 8.17.8."""
+
+    def test_halves_at_a_large_parameter(self):
+        # the alternating series gave B0(0.8; 40.5, 40.5) 1.8e12 too large
+        a = 40.5
+        closed = math.exp(2 * math.lgamma(a) - math.lgamma(2 * a))
+        total = (sf.inc_beta(0.8, a, a) + sf.inc_beta(0.2, a, a)).real
+        assert abs(total - closed) <= 1e-13 * closed
+
+    def test_tail_beyond_the_series_is_negligible(self):
+        # (1-t)^59.5 leaves under 1e-40 of B(0.5, 60.5) beyond t = 0.8;
+        # the alternating series was off by 3.2e-3 relative
+        closed = math.exp(math.lgamma(0.5) + math.lgamma(60.5) - math.lgamma(61))
+        assert abs(sf.inc_beta(0.8, 0.5, 60.5).real - closed) <= 1e-13 * closed
+
+
 class TestCompleteBeta:
     """B(a, b) = B0(1/2; a, b) + B0(1/2; b, a), each by a positive-term series."""
 

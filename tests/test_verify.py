@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +112,17 @@ class TestReports:
         report = run_suite("all")
         tiers = {c.tier for c in report.checks}
         assert tiers == {"A", "B"}
+
+    def test_all_suite_matches_the_golden_report(self, tmp_path):
+        # the report of `lagrev verify --suite all --json` without
+        # `versions`; a deliberate change to the report updates
+        # tests/data/verify_all.json and is listed in CHANGES.md
+        path = tmp_path / "report.json"
+        emit_report(run_suite("all"), path)
+        report = json.loads(path.read_text(encoding="utf-8"))
+        del report["versions"]
+        golden = (Path(__file__).parent / "data" / "verify_all.json").read_text(encoding="utf-8")
+        assert json.dumps(report, indent=2) + "\n" == golden
 
 
 def test_each_inversion_context_is_built_once(monkeypatch):

@@ -7,6 +7,8 @@ chain over to a real-nome analog, and ships a tiered verification
 suite with machine-readable reports.
 """
 
+__version__ = "1.0.0"
+
 from .errors import (
     AccuracyLoss,
     BranchError,
@@ -47,8 +49,6 @@ from .quadrature import quad_oracle
 from .realanalog import RealPoint, build_real_context
 from .series import TruncSeries, defining_residual, lagrange_revert, revert_exact
 from .verify import CheckResult, VerificationReport, emit_report, run_suite
-
-__version__ = "1.0.0"
 
 __all__ = [
     "AccuracyLoss",

@@ -84,7 +84,10 @@ def _q_w_prime(ctx: InversionContext, q: complex) -> complex:
     series w' exceeds 1e-12."""
     value, tail = eval_series(TruncSeries(ctx.a), q)
     if tail > 1e-12:
-        raise AccuracyLoss(f"series tail estimate {tail:.3e} exceeds 1e-12")
+        raise AccuracyLoss(
+            f"series tail estimate {tail:.3e} exceeds 1e-12 at |q| = {abs(q):.6g} "
+            f"with w at order {ctx.order}"
+        )
     return q * value
 
 
@@ -201,5 +204,8 @@ def h_of(
         if tail_bound < 1e-14 and k >= 2:
             return total
     if tail_bound > 1e-12:
-        raise AccuracyLoss("h series truncated before the tail fell below 1e-12")
+        raise AccuracyLoss(
+            f"h series truncated after {terms + 1} terms; last |term| = {tail_bound:.3e} "
+            "exceeds 1e-12"
+        )
     return total

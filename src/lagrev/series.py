@@ -9,11 +9,19 @@ complex one gives a complex series.  All values are immutable; every
 operation is pure.  ``lagrange_revert`` and ``revert_exact`` share one
 Newton loop on these series, each step of which runs at the order it
 reaches.
+
+Exact products, quotients and compositions run on integers: each
+``Fraction`` operand becomes integer numerators over one common
+denominator (its lcm), the integers go through the same convolution and
+quotient loops as complex coefficients, and each coefficient of the
+result is normalised once, when it is built (as FLINT's ``fmpq_poly``
+does; Knuth, TAOCP vol. 2, 4.5.1), not after every product and sum.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Number
@@ -86,13 +94,10 @@ class TruncSeries:
         if isinstance(other, Number):
             return TruncSeries(tuple(c * other for c in self.coeffs))
         n = min(self.order, other.order)
-        out = [self._scalar(0)] * (n + 1)
-        for j, cj in enumerate(self.coeffs[: n + 1]):
-            if cj == 0:
-                continue
-            for k in range(n + 1 - j):
-                out[j + k] += cj * other.coeffs[k]
-        return TruncSeries(tuple(out))
+        if _both_exact(self, other):
+            (a, da), (b, db) = _over_lcm(self.coeffs[: n + 1]), _over_lcm(other.coeffs[: n + 1])
+            return _over(_convolve(a, b, n, 0), da * db)
+        return TruncSeries(tuple(_convolve(self.coeffs, other.coeffs, n, self._scalar(0))))
 
     __rmul__ = __mul__
 
@@ -102,14 +107,21 @@ class TruncSeries:
         if other.coeffs[0] == 0:
             raise DegenerateSeries("division by a series with zero constant term")
         n = min(self.order, other.order)
-        inv0 = other._scalar(1) / other.coeffs[0]
-        out = [other._scalar(0)] * (n + 1)
-        for k in range(n + 1):
-            acc = self.coeffs[k]
-            for j in range(1, k + 1):
-                acc -= other.coeffs[j] * out[k - j]
-            out[k] = acc * inv0
-        return TruncSeries(tuple(out))
+        if not _both_exact(self, other):
+            inv0 = other._scalar(1) / other.coeffs[0]
+            return TruncSeries(tuple(_solve_lower(self.coeffs, other.coeffs, n, inv0)))
+        # q = a/b with a = A/d_a, b = B/d_b: Q_k = q_k d_a B_0^(k+1)/d_b is
+        # the integer A_k B_0^k - sum_j B_j B_0^(j-1) Q_(k-j)
+        (a, da), (b, db) = _over_lcm(self.coeffs[: n + 1]), _over_lcm(other.coeffs[: n + 1])
+        powers = [1]
+        for _ in range(n + 1):
+            powers.append(powers[-1] * b[0])
+        lead = [a[k] * powers[k] for k in range(n + 1)]
+        scaled = [0] + [b[j] * powers[j - 1] for j in range(1, n + 1)]
+        quotient = _solve_lower(lead, scaled, n, 1)
+        return TruncSeries(
+            tuple(Fraction(quotient[k] * db, da * powers[k + 1]) for k in range(n + 1))
+        )
 
     def derivative(self) -> "TruncSeries":
         if self.order == 0:
@@ -121,6 +133,45 @@ class TruncSeries:
         return TruncSeries(
             (self._scalar(0),) + tuple(self.coeffs[k] / (k + 1) for k in range(self.order + 1))
         )
+
+
+def _both_exact(a: TruncSeries, b: TruncSeries) -> bool:
+    return isinstance(a.coeffs[0], Fraction) and isinstance(b.coeffs[0], Fraction)
+
+
+def _over_lcm(coeffs) -> tuple[list, int]:
+    """Fraction coefficients as integer numerators over their least
+    common denominator d, and d."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _over(numerators, denominator: int) -> TruncSeries:
+    """The Fraction series numerators/denominator, each normalised once."""
+    return TruncSeries(tuple(Fraction(p, denominator) for p in numerators))
+
+
+def _convolve(a, b, n: int, zero) -> list:
+    """Coefficients 0..n of the product of the sequences a and b."""
+    out = [zero] * (n + 1)
+    for j, aj in enumerate(a[: n + 1]):
+        if aj == 0:
+            continue
+        for k in range(n + 1 - j):
+            out[j + k] += aj * b[k]
+    return out
+
+
+def _solve_lower(lead, b, n: int, scale) -> list:
+    """out_0..out_n of out_k = (lead_k - sum_{j=1..k} b_j out_(k-j)) * scale,
+    the recurrence of a series quotient."""
+    out = [None] * (n + 1)
+    for k in range(n + 1):
+        acc = lead[k]
+        for j in range(1, k + 1):
+            acc -= b[j] * out[k - j]
+        out[k] = acc * scale
+    return out
 
 
 def constant(value, order: int) -> TruncSeries:
@@ -142,6 +193,17 @@ def compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
         raise CompositionDomain("inner series of a composition must have zero constant term")
     n = min(outer.order, inner.order)
     inner = inner.truncated(n)
+    if _both_exact(outer, inner):
+        # Horner on integers: after the step for c_k the numerators stand
+        # over d_outer * d_inner^(n-k)
+        (c, d_outer), (b, d_inner) = _over_lcm(outer.coeffs[: n + 1]), _over_lcm(inner.coeffs)
+        acc = [c[n]] + [0] * n
+        scale = 1
+        for k in range(n - 1, -1, -1):
+            scale *= d_inner
+            acc = _convolve(b, acc, n, 0)
+            acc[0] += c[k] * scale
+        return _over(acc, d_outer * scale)
     acc = constant(outer.coeffs[n], n)
     for k in range(n - 1, -1, -1):
         acc = acc * inner + constant(outer.coeffs[k], n)

@@ -192,7 +192,9 @@ def inc_beta(x, a: float, b: float) -> complex:
     """Incomplete beta B0(x; a, b) = int_0^x t^{a-1} (1-t)^{b-1} dt.
 
     Three regimes, chosen by the distance of x to 0 and to 1:
-    - |x| <= 0.8: the series B0(x; a, b) of _b0_series;
+    - |x| <= 0.8, or real x in (0.8, a/(a+b)) with b > 0: the series
+      B0(x; a, b) of _b0_series; below the mean a/(a+b) of the beta law
+      B0 is small against B(a, b), and the reflection would cancel;
     - |1 - x| <= 0.8 with b > 0: the reflection (DLMF 8.17.4)
       B(a, b) - B0(1-x; b, a), real or complex x, the tail by the same
       series; 1 - x is exact for real x in [1/2, 1], and at x = 1 the
@@ -203,7 +205,8 @@ def inc_beta(x, a: float, b: float) -> complex:
     B0(1/2; b, a), each in the positive-term form (DLMF 8.17.8)
     B0(x; a, b) = x^a (1-x)^b/a 2F1(a+b, 1; a+1; x), computed once per
     (a, b); so for b > 0 no real x in [0, 1] reaches the quadrature, and
-    B(a, b) stays independent of the gamma closed form.
+    B(a, b) stays independent of the gamma closed form.  Where that
+    prefactor underflows, the sum carries it as a logarithm.
     """
     if a <= 0:
         raise DomainError("inc_beta requires a > 0")
@@ -212,7 +215,7 @@ def inc_beta(x, a: float, b: float) -> complex:
         return 0j
     if x.imag == 0 and x.real > 1:
         raise DomainError("inc_beta argument on the cut [1, inf)")
-    if abs(x) <= 0.8:
+    if abs(x) <= 0.8 or (b > 0 and x.imag == 0 and 0 < x.real < a / (a + b)):
         return _b0_series(x, a, b)
     y = 1 - x
     if abs(y) <= 0.8 and b > 0:
@@ -222,26 +225,67 @@ def inc_beta(x, a: float, b: float) -> complex:
     return _inc_beta_quad(x, a, b)
 
 
-def _b0_series(x: complex, a: float, b: float) -> complex:
-    """B0(x; a, b) for |x| <= 0.8 by a hypergeometric series.
+# Below this prefactor of the 8.17.8 form its 2F1 sum may overflow (and
+# an underflowed prefactor times that sum gives 0 * inf = nan).
+_TINY = 1e-280
 
-    For real x in (0, 0.8] with b > 1 the terms of 2F1(a, 1-b; a+1; x)
+
+def _b0_series(x: complex, a: float, b: float) -> complex:
+    """B0(x; a, b) by a hypergeometric series, for |x| <= 0.8 and for
+    real x in (0.8, 1) below a/(a+b).
+
+    For real x in (0, 1) with b > 1 the terms of 2F1(a, 1-b; a+1; x)
     alternate while n < b - 1 and grow far above the sum before they
     cancel (to a relative error near 1e12 at B0(0.8; 40.5, 40.5)), so
     there the positive-term form x^a (1-x)^b/a 2F1(a+b, 1; a+1; x) of
     DLMF 8.17.8 is used.  Every other x keeps (x^a/a) 2F1(a, 1-b; a+1; x):
-    for b <= 1 its terms are positive on (0, 0.8], and off the positive
+    for b <= 1 its terms are positive on (0, 1), and off the positive
     axis those of the 8.17.8 form do not stay positive either.
     """
     if b > 1 and x.imag == 0 and x.real > 0:
-        return _qpow(x, a) * _qpow(1 - x, b) / a * hyp2f1(a + b, 1, a + 1, x)
+        prefactor = _qpow(x, a) * _qpow(1 - x, b) / a
+        if abs(prefactor) >= _TINY:
+            return prefactor * hyp2f1(a + b, 1, a + 1, x)
+        x = x.real
+        return _positive_8178(a * math.log(x) + b * math.log1p(-x) - math.log(a), a, b, x)
     return _qpow(x, a) / a * hyp2f1(a, 1 - b, a + 1, x)
+
+
+def _positive_8178(log_prefactor: float, a: float, b: float, x: float) -> complex:
+    """exp(log_prefactor) 2F1(a+b, 1; a+1; x) for real x in (0, 1).
+
+    Every term is positive; the terms are summed relative to a scale
+    kept as a logarithm, which takes over the sum whenever it passes
+    1e280, so neither an underflowing prefactor nor an overflowing sum
+    can meet as 0 * inf.  A value below the smallest float returns 0.
+    """
+    log_scale = log_prefactor
+    term = total = 1.0
+    for n in range(100000):
+        term *= (a + b + n) / (a + 1 + n) * x
+        total += term
+        if total > 1e280:
+            log_scale += math.log(total)
+            term /= total
+            total = 1.0
+        if term < 1e-17 * total:
+            return complex(math.exp(log_scale) * total)
+    raise NoConvergence(
+        f"8.17.8 series stalled after {n + 1} terms at x = {x:.17g}; "
+        f"last term / sum = {term / total:.3e}"
+    )
 
 
 @functools.lru_cache(maxsize=256)
 def _complete_beta(a: float, b: float) -> complex:
     # every term of both series is positive for a, b > 0
-    return 0.5 ** (a + b) * (hyp2f1(a + b, 1, a + 1, 0.5) / a + hyp2f1(a + b, 1, b + 1, 0.5) / b)
+    half_ab = 0.5 ** (a + b)
+    if half_ab >= _TINY:
+        return half_ab * (hyp2f1(a + b, 1, a + 1, 0.5) / a + hyp2f1(a + b, 1, b + 1, 0.5) / b)
+    log_half_ab = (a + b) * math.log(0.5)
+    return _positive_8178(log_half_ab - math.log(a), a, b, 0.5) + _positive_8178(
+        log_half_ab - math.log(b), b, a, 0.5
+    )
 
 
 def _inc_beta_quad(x: complex, a: float, b: float) -> complex:

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from . import __version__
 from . import series as qs
 from .errors import DomainError, NoBracket
 from .expr import parse_expr
@@ -80,15 +81,6 @@ def _context(text: str, order: int) -> InversionContext:
     per process and shared by every check (it is frozen and holds only
     tuples)."""
     return build_context(to_funcspec(parse_expr(text), order=order), order)
-
-
-def _engine() -> str:
-    try:
-        from importlib.metadata import version
-
-        return "lagrev " + version("lagrev")
-    except Exception:
-        return "lagrev unknown"
 
 
 @dataclass(frozen=True)
@@ -743,7 +735,7 @@ def run_suite(name: str, tol: Optional[float] = None) -> VerificationReport:
     return VerificationReport(
         suite=name,
         tolerance_default=default,
-        versions={"engine": _engine()},
+        versions={"engine": "lagrev " + __version__},
         checks=tuple(checks),
     )
 

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lagrev
 from lagrev import verify
 from lagrev.cli import main
 
@@ -160,6 +164,24 @@ class TestVerify:
         # a tier-A failure still takes precedence
         verify._REGISTRY.append(("identity", "A", None, fails))
         assert run(capsys, "verify", "--suite", "all")[0] == 2
+
+    def test_engine_version_without_package_metadata(self, tmp_path):
+        # a fresh interpreter, as `lagrev verify` runs: importing
+        # importlib.metadata cost about 10 % of the verify run
+        path = tmp_path / "report.json"
+        script = (
+            "import json, sys\n"
+            "from lagrev import cli\n"
+            f"code = cli.main(['verify', '--suite', 'all', '--json', {str(path)!r}])\n"
+            "print(json.dumps([code, 'importlib.metadata' in sys.modules]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(lagrev.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, False]
+        report = json.loads(path.read_text(encoding="utf-8"))
+        assert report["versions"]["engine"] == "lagrev " + lagrev.__version__
 
 
 class TestUsage:

@@ -90,6 +90,15 @@ class TestReciprocalSeries:
         expected = reference(hi)[0]
         assert abs(p_of_z(lambert_ctx, 0.1 + 1j * hi) - expected) <= 1e-15 * abs(expected)
 
+    def test_accuracy_loss_names_q_order_and_tail(self, lambert_ctx):
+        # z = 0.1 + 0.1i has |q| = exp(-0.2 pi), far outside the series' reach
+        with pytest.raises(
+            AccuracyLoss,
+            match=r"tail estimate \d\.\d{3}e\+\d\d exceeds 1e-12 at \|q\| = 0\.533488 "
+            r"with w at order 48",
+        ):
+            p_of_z(lambert_ctx, 0.1 + 0.1j)
+
     def test_integral_recovers_w(self, lambert_ctx):
         z = 0.2 + 0.6j
         q = e_map(z).q
@@ -134,6 +143,13 @@ class TestChain:
         a = 0.1 + 0.02j
         expected = cmath.log(c - TWO_PI_I * a) / TWO_PI_I
         assert abs(h_of(lambda u: 0j, c, a) - expected) < 1e-12
+
+    def test_h_accuracy_loss_names_its_terms(self):
+        # P0 = 1/(1-u) has P0^(k)(0) = k!, so the terms fall only as 0.94^k
+        with pytest.raises(
+            AccuracyLoss, match=r"after 49 terms; last \|term\| = 1\.18\de-04 exceeds 1e-12"
+        ):
+            h_of(lambda u: 1 / (1 - u), 0j, 0.15)
 
 
 class TestCauchyTaylor:

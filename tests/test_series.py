@@ -133,6 +133,66 @@ class TestExactReversion:
             expected.append(power[n - 1] / n)
         assert qs.revert_exact(coeffs, order) == expected
 
+    @pytest.mark.parametrize("c", [Fraction(4, 7), Fraction(5, 7)])
+    def test_geometric_gives_scaled_catalan_numbers(self, c):
+        # w = q/(1 - c w): c_n = Catalan(n-1) c^(n-1)
+        w = qs.revert_exact([c**k for k in range(33)], 32)
+        assert w[0] == 0
+        for n in range(1, 33):
+            assert w[n] == math.comb(2 * n - 2, n - 1) // n * c ** (n - 1)
+
+
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+def exact_series(coeffs):
+    return qs.TruncSeries(tuple(coeffs))
+
+
+class TestExactKernel:
+    """Fraction products, quotients and compositions run on integers over
+    one denominator; these are the plain Fraction double loops."""
+
+    @staticmethod
+    def product(a, b):
+        n = min(len(a), len(b))
+        return [sum((a[j] * b[k - j] for j in range(k + 1)), Fraction(0)) for k in range(n)]
+
+    @staticmethod
+    def quotient(a, b):
+        out = []
+        for k in range(min(len(a), len(b))):
+            acc = a[k] - sum((b[j] * out[k - j] for j in range(1, k + 1)), Fraction(0))
+            out.append(acc / b[0])
+        return out
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(small_fractions, min_size=1, max_size=17),
+        st.lists(small_fractions, min_size=1, max_size=17),
+    )
+    def test_product_and_quotient(self, a, b):
+        product = (exact_series(a) * exact_series(b)).coeffs
+        assert list(product) == self.product(a, b)
+        assert all(type(c) is Fraction for c in product)
+        if b[0] != 0:
+            assert list((exact_series(a) / exact_series(b)).coeffs) == self.quotient(a, b)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.lists(small_fractions, min_size=1, max_size=17),
+        st.lists(small_fractions, min_size=0, max_size=16),
+    )
+    def test_composition(self, outer, inner_tail):
+        inner = [Fraction(0)] + inner_tail
+        n = min(len(outer), len(inner))
+        expected = [outer[n - 1]] + [Fraction(0)] * (n - 1)
+        for k in range(n - 2, -1, -1):
+            expected = self.product(expected, inner[:n])
+            expected[0] += outer[k]
+        composed = qs.compose(exact_series(outer), exact_series(inner)).coeffs
+        assert list(composed) == expected
+
 
 class TestCoefficientTypes:
     def test_fraction_series_stay_exact(self):

@@ -203,6 +203,39 @@ class TestIncompleteBetaLargeParameters:
         assert abs(sf.inc_beta(0.8, 0.5, 60.5).real - closed) <= 1e-13 * closed
 
 
+class TestIncompleteBetaLargeParameterEdges:
+    """Real x in (0.8, a/(a+b)) by the direct series, and the 8.17.8 sum
+    with a prefactor below the float range."""
+
+    def test_below_the_mean_in_closed_form(self):
+        # b = 2: B0(x; a, 2) = x^a ((a+1) - a x)/(a (a+1)); the reflection
+        # B(a, b) - B0(1-x; b, a) cancelled to 0.9 % here
+        x, a = 0.85, 200
+        closed = x**a * ((a + 1) - a * x) / (a * (a + 1))
+        assert abs(sf.inc_beta(x, a, 2).real - closed) <= 1e-13 * closed
+
+    @pytest.mark.parametrize(
+        "x, a, b, expected",
+        [(0.85, 200, 0.5, 9.745152273663876e-17), (0.81, 300, 1.5, 5.138126348795583e-31)],
+    )
+    def test_below_the_mean_against_mpmath(self, x, a, b, expected):
+        # mpmath betainc; the reflection read 2.5e-16 and 1.9e-19
+        assert abs(sf.inc_beta(x, a, b).real - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize(
+        "x, a, b, expected",
+        [
+            (0.8, 0.5, 500, 0.07928636506259065),
+            (0.5, 2, 1200, 6.938662225922842e-07),
+            (1.0, 2, 1200, 1 / (1200 * 1201)),
+        ],
+    )
+    def test_underflowing_prefactor(self, x, a, b, expected):
+        # (1-x)^b, or 0.5^(a+b) of the complete value, underflows while the
+        # 2F1 sum overflows: 0 * inf gave nan
+        assert abs(sf.inc_beta(x, a, b) - expected) <= 1e-12 * expected
+
+
 class TestCompleteBeta:
     """B(a, b) = B0(1/2; a, b) + B0(1/2; b, a), each by a positive-term series."""
 

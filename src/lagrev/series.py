@@ -10,12 +10,13 @@ operation is pure.  ``lagrange_revert`` and ``revert_exact`` share one
 Newton loop on these series, each step of which runs at the order it
 reaches.
 
-Exact products, quotients and compositions run on integers: each
-``Fraction`` operand becomes integer numerators over one common
-denominator (its lcm), the integers go through the same convolution and
-quotient loops as complex coefficients, and each coefficient of the
-result is normalised once, when it is built (as FLINT's ``fmpq_poly``
-does; Knuth, TAOCP vol. 2, 4.5.1), not after every product and sum.
+Exact products and quotients run on integers: each ``Fraction``
+operand becomes integer numerators over one common denominator (its
+lcm), the integers go through the same convolution and quotient loops
+as complex coefficients, and each coefficient of the result is
+normalised once, when it is built (as FLINT's ``fmpq_poly`` does; Knuth,
+TAOCP vol. 2, 4.5.1), not after every product and sum.  ``compose`` is a
+Horner loop of these products.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class TruncSeries:
         n = min(self.order, other.order)
         if _both_exact(self, other):
             (a, da), (b, db) = _over_lcm(self.coeffs[: n + 1]), _over_lcm(other.coeffs[: n + 1])
-            return _over(_convolve(a, b, n, 0), da * db)
+            return TruncSeries(tuple(Fraction(p, da * db) for p in _convolve(a, b, n, 0)))
         return TruncSeries(tuple(_convolve(self.coeffs, other.coeffs, n, self._scalar(0))))
 
     __rmul__ = __mul__
@@ -146,11 +147,6 @@ def _over_lcm(coeffs) -> tuple[list, int]:
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
-def _over(numerators, denominator: int) -> TruncSeries:
-    """The Fraction series numerators/denominator, each normalised once."""
-    return TruncSeries(tuple(Fraction(p, denominator) for p in numerators))
-
-
 def _convolve(a, b, n: int, zero) -> list:
     """Coefficients 0..n of the product of the sequences a and b."""
     out = [zero] * (n + 1)
@@ -193,17 +189,6 @@ def compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
         raise CompositionDomain("inner series of a composition must have zero constant term")
     n = min(outer.order, inner.order)
     inner = inner.truncated(n)
-    if _both_exact(outer, inner):
-        # Horner on integers: after the step for c_k the numerators stand
-        # over d_outer * d_inner^(n-k)
-        (c, d_outer), (b, d_inner) = _over_lcm(outer.coeffs[: n + 1]), _over_lcm(inner.coeffs)
-        acc = [c[n]] + [0] * n
-        scale = 1
-        for k in range(n - 1, -1, -1):
-            scale *= d_inner
-            acc = _convolve(b, acc, n, 0)
-            acc[0] += c[k] * scale
-        return _over(acc, d_outer * scale)
     acc = constant(outer.coeffs[n], n)
     for k in range(n - 1, -1, -1):
         acc = acc * inner + constant(outer.coeffs[k], n)

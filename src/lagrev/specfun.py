@@ -168,6 +168,10 @@ def gamma_fn(x) -> complex:
     return math.sqrt(2 * math.pi) * t ** (x + 0.5) * cmath.exp(-t) * acc
 
 
+# Term cap of the hypergeometric sums.
+_MAX_TERMS = 100000
+
+
 def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
     """Gauss 2F1 by its Maclaurin series; requires |x| < 1."""
     if c <= 0 and c == int(c):
@@ -177,7 +181,7 @@ def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
         raise ConvergenceDomain("2F1 series requires |x| < 1")
     term = 1.0 + 0j
     total = term
-    for n in range(100000):
+    for n in range(_MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * x
         total += term
         if abs(term) < 1e-17 * abs(total):
@@ -192,13 +196,16 @@ def inc_beta(x, a: float, b: float) -> complex:
     """Incomplete beta B0(x; a, b) = int_0^x t^{a-1} (1-t)^{b-1} dt.
 
     Three regimes, chosen by the distance of x to 0 and to 1:
-    - |x| <= 0.8, or real x in (0.8, a/(a+b)) with b > 0: the series
-      B0(x; a, b) of _b0_series; below the mean a/(a+b) of the beta law
-      B0 is small against B(a, b), and the reflection would cancel;
+    - |x| <= 0.8, or real x in (0.8, a/(a+b)) with b > 0 where the series
+      ends within 2000 terms: the series B0(x; a, b) of _b0_series; below
+      the mean a/(a+b) of the beta law B0 is small against B(a, b), and
+      the reflection would cancel;
     - |1 - x| <= 0.8 with b > 0: the reflection (DLMF 8.17.4)
       B(a, b) - B0(1-x; b, a), real or complex x, the tail by the same
       series; 1 - x is exact for real x in [1/2, 1], and at x = 1 the
-      tail is 0;
+      tail is 0.  Where a real reflection keeps less than 1/100 of
+      B(a, b), the slow series B0(x; a, b) replaces it if it ends within
+      the term cap _MAX_TERMS (_series_ends);
     - every other x: adaptive quadrature along the straight segment [0, x].
     x = 1 with b <= 0 raises DomainError: the integral diverges there.
     The complete value B(a, b) is the sum of the halves B0(1/2; a, b) and
@@ -206,7 +213,7 @@ def inc_beta(x, a: float, b: float) -> complex:
     B0(x; a, b) = x^a (1-x)^b/a 2F1(a+b, 1; a+1; x), computed once per
     (a, b); so for b > 0 no real x in [0, 1] reaches the quadrature, and
     B(a, b) stays independent of the gamma closed form.  Where that
-    prefactor underflows, the sum carries it as a logarithm.
+    prefactor underflows, the sum carries it as a power of two.
     """
     if a <= 0:
         raise DomainError("inc_beta requires a > 0")
@@ -215,14 +222,38 @@ def inc_beta(x, a: float, b: float) -> complex:
         return 0j
     if x.imag == 0 and x.real > 1:
         raise DomainError("inc_beta argument on the cut [1, inf)")
-    if abs(x) <= 0.8 or (b > 0 and x.imag == 0 and 0 < x.real < a / (a + b)):
+    if abs(x) <= 0.8 or (
+        b > 0 and x.imag == 0 and 0 < x.real < a / (a + b) and _series_ends(x.real, a, b, 2000)
+    ):
         return _b0_series(x, a, b)
     y = 1 - x
     if abs(y) <= 0.8 and b > 0:
-        return _complete_beta(a, b) - _b0_series(y, b, a)
+        complete = _complete_beta(a, b)
+        value = complete - _b0_series(y, b, a)
+        if (
+            x.imag == 0
+            and abs(value) < 0.01 * abs(complete)
+            and _series_ends(x.real, a, b, _MAX_TERMS)
+        ):
+            return _b0_series(x, a, b)
+        return value
     if x == 1:
         raise DomainError("the complete beta B(a, b) diverges for b <= 0")
     return _inc_beta_quad(x, a, b)
+
+
+def _series_ends(x: float, a: float, b: float, terms: int) -> bool:
+    """Whether _b0_series(x, a, b) meets its stopping rule within the
+    given number of terms, for real x in (0.8, 1).
+
+    Term n of 2F1(a+b, 1; a+1; x) is x^n (a+b)_n/(a+1)_n; past their
+    largest these terms only shrink, so one below e^-40 of the first
+    stops the sum.  For b <= 1 the terms of 2F1(a, 1-b; a+1; x) are at
+    most x^n.  Near x = 1 both sums converge only like x^n.
+    """
+    growth = math.lgamma(a + b + terms) - math.lgamma(a + 1 + terms)
+    growth += math.lgamma(a + 1) - math.lgamma(a + b)
+    return terms * math.log(x) + max(growth, 0.0) < -40
 
 
 # Below this prefactor of the 8.17.8 form its 2F1 sum may overflow (and
@@ -232,7 +263,7 @@ _TINY = 1e-280
 
 def _b0_series(x: complex, a: float, b: float) -> complex:
     """B0(x; a, b) by a hypergeometric series, for |x| <= 0.8 and for
-    real x in (0.8, 1) below a/(a+b).
+    real x in (0.8, 1) where the reflection would cancel.
 
     For real x in (0, 1) with b > 1 the terms of 2F1(a, 1-b; a+1; x)
     alternate while n < b - 1 and grow far above the sum before they
@@ -247,33 +278,35 @@ def _b0_series(x: complex, a: float, b: float) -> complex:
         if abs(prefactor) >= _TINY:
             return prefactor * hyp2f1(a + b, 1, a + 1, x)
         x = x.real
-        return _positive_8178(a * math.log(x) + b * math.log1p(-x) - math.log(a), a, b, x)
+        log2_prefactor = (a * math.log(x) + b * math.log1p(-x) - math.log(a)) / math.log(2)
+        exponent = math.floor(log2_prefactor)
+        return _positive_8178(2.0 ** (log2_prefactor - exponent), exponent, a, b, x)
     return _qpow(x, a) / a * hyp2f1(a, 1 - b, a + 1, x)
 
 
-def _positive_8178(log_prefactor: float, a: float, b: float, x: float) -> complex:
-    """exp(log_prefactor) 2F1(a+b, 1; a+1; x) for real x in (0, 1).
+def _positive_8178(prefactor: float, exponent: int, a: float, b: float, x: float) -> complex:
+    """prefactor 2^exponent 2F1(a+b, 1; a+1; x) for real x in (0, 1).
 
-    Every term is positive; the terms are summed relative to a scale
-    kept as a logarithm, which takes over the sum whenever it passes
-    1e280, so neither an underflowing prefactor nor an overflowing sum
-    can meet as 0 * inf.  A value below the smallest float returns 0.
+    Every term is positive; whenever the sum passes 2^900, it and the
+    term are divided by 2^900 and exponent grows by 900, which is exact,
+    so neither an underflowing prefactor nor an overflowing sum can meet
+    as 0 * inf.  A value below the smallest float returns 0.
     """
-    log_scale = log_prefactor
     term = total = 1.0
-    for n in range(100000):
+    for n in range(_MAX_TERMS):
         term *= (a + b + n) / (a + 1 + n) * x
         total += term
-        if total > 1e280:
-            log_scale += math.log(total)
-            term /= total
-            total = 1.0
+        if total > _HUGE:
+            term, total, exponent = term / _HUGE, total / _HUGE, exponent + 900
         if term < 1e-17 * total:
-            return complex(math.exp(log_scale) * total)
+            return complex(math.ldexp(prefactor * total, exponent))
     raise NoConvergence(
         f"8.17.8 series stalled after {n + 1} terms at x = {x:.17g}; "
         f"last term / sum = {term / total:.3e}"
     )
+
+
+_HUGE = 2.0**900
 
 
 @functools.lru_cache(maxsize=256)
@@ -282,10 +315,10 @@ def _complete_beta(a: float, b: float) -> complex:
     half_ab = 0.5 ** (a + b)
     if half_ab >= _TINY:
         return half_ab * (hyp2f1(a + b, 1, a + 1, 0.5) / a + hyp2f1(a + b, 1, b + 1, 0.5) / b)
-    log_half_ab = (a + b) * math.log(0.5)
-    return _positive_8178(log_half_ab - math.log(a), a, b, 0.5) + _positive_8178(
-        log_half_ab - math.log(b), b, a, 0.5
-    )
+    # 0.5^(a+b) = 0.5^f 2^-k with k = floor(a+b): the power of two is exact
+    k = math.floor(a + b)
+    half_f = 0.5 ** (a + b - k)
+    return _positive_8178(half_f / a, -k, a, b, 0.5) + _positive_8178(half_f / b, -k, b, a, 0.5)
 
 
 def _inc_beta_quad(x: complex, a: float, b: float) -> complex:

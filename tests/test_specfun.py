@@ -204,8 +204,8 @@ class TestIncompleteBetaLargeParameters:
 
 
 class TestIncompleteBetaLargeParameterEdges:
-    """Real x in (0.8, a/(a+b)) by the direct series, and the 8.17.8 sum
-    with a prefactor below the float range."""
+    """Real x in (0.8, 1) by the direct series where the reflection would
+    cancel, and the 8.17.8 sum with a prefactor below the float range."""
 
     def test_below_the_mean_in_closed_form(self):
         # b = 2: B0(x; a, 2) = x^a ((a+1) - a x)/(a (a+1)); the reflection
@@ -234,6 +234,18 @@ class TestIncompleteBetaLargeParameterEdges:
         # (1-x)^b, or 0.5^(a+b) of the complete value, underflows while the
         # 2F1 sum overflows: 0 * inf gave nan
         assert abs(sf.inc_beta(x, a, b) - expected) <= 1e-12 * expected
+
+    def test_cancelled_reflection_takes_the_long_series(self):
+        # about 13000 terms; the reflection keeps 2.5e-12 of B(a, 2) here
+        x, a = 0.997, 10000
+        closed = x**a * ((a + 1) - a * x) / (a * (a + 1))
+        assert abs(sf.inc_beta(x, a, 2).real - closed) <= 1e-13 * closed
+
+    def test_near_one_beyond_the_term_cap_reflects(self):
+        # below the mean 0.99995, but the direct series would need about
+        # 400000 terms; the reflection cancels by only 10x (mpmath betainc)
+        expected = 1.223475762827343
+        assert abs(sf.inc_beta(0.9999, 1000, 0.05).real - expected) <= 1e-12 * expected
 
 
 class TestCompleteBeta:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from . import series as qs
 from .errors import AccuracyLoss, BranchError, PoleError, ZeroAtOrigin
@@ -25,18 +25,16 @@ _TWO_PI_I = 2j * math.pi
 
 @dataclass(frozen=True)
 class FuncSpec:
-    """A function f(A) carried as tree, Taylor series at 0 and evaluator."""
+    """A function f(A) carried as Taylor series at 0 and evaluator."""
 
     series: TruncSeries
     evaluator: Callable[[complex], complex]
-    expr: Optional[Node] = None
 
 
 def to_funcspec(tree: Node, order: int = qs.DEFAULT_MAX_ORDER) -> FuncSpec:
     return FuncSpec(
         series=series_expr(tree, order),
         evaluator=lambda a: eval_expr(tree, a),
-        expr=tree,
     )
 
 
@@ -45,7 +43,7 @@ def funcspec_from_callable(
 ) -> FuncSpec:
     """FuncSpec for a black-box analytic fn; series by Cauchy coefficients."""
     coeffs = cauchy_taylor(fn, 0j, order, radius=0.25)
-    return FuncSpec(series=TruncSeries(tuple(coeffs)), evaluator=fn, expr=None)
+    return FuncSpec(series=TruncSeries(tuple(coeffs)), evaluator=fn)
 
 
 @dataclass(frozen=True)

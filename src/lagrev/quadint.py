@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import BranchError, DomainError, NoConvergence, PoleError
-from .quadrature import newton_decreasing, quad_oracle
+from .quadrature import newton_decreasing
 from .specfun import gamma_fn, inc_beta
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "closed_integral_thm18",
     "closed_integral_thm13_1",
     "f1_integrand",
-    "quad_oracle",
 ]
 
 _TWO_PI_I = 2j * math.pi
@@ -148,9 +147,10 @@ def beta_r(m: Fraction, r: float) -> BetaPoint:
     g(v) = B/(1+s) - B0(e^v), dg/dv = -u^alpha (1-u)^(alpha-1), in
     v = log u on [log(float_min), log(1/2)], from the seed
     log(alpha B/(1+s))/alpha of the leading term B0(u) ~ u^alpha/alpha,
-    clamped to that bracket.  No evaluation lies beyond x = 1/2: B itself
-    is the sum of two series at x = 1/2 (see inc_beta), and no step of
-    the solve reaches quadrature.  NoConvergence unless the ratio residual
+    clamped to that bracket.  No evaluation lies beyond x = 1/2, the mean
+    of equal parameters: each B0(u) is one continued fraction, B itself
+    the two met at x = 1/2 (see inc_beta), and no step of the solve
+    reaches quadrature.  NoConvergence unless the ratio residual
     |sqrt(B/B0(u) - 1) - sqrt(s)| is at most 1e-10.
     """
     m = Fraction(m)

@@ -20,7 +20,6 @@ from .errors import (
     NoConvergence,
     PoleError,
 )
-from .quadrature import quad_oracle
 
 _TWO_PI_I = 2j * math.pi
 
@@ -168,7 +167,8 @@ def gamma_fn(x) -> complex:
     return math.sqrt(2 * math.pi) * t ** (x + 0.5) * cmath.exp(-t) * acc
 
 
-# Term cap of the hypergeometric sums.
+# Term cap of the hypergeometric sums and of the incomplete-beta
+# continued fraction.
 _MAX_TERMS = 100000
 
 
@@ -195,145 +195,78 @@ def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
 def inc_beta(x, a: float, b: float) -> complex:
     """Incomplete beta B0(x; a, b) = int_0^x t^{a-1} (1-t)^{b-1} dt.
 
-    Three regimes, chosen by the distance of x to 0 and to 1:
-    - |x| <= 0.8, or real x in (0.8, a/(a+b)) with b > 0 where the series
-      ends within 2000 terms: the series B0(x; a, b) of _b0_series; below
-      the mean a/(a+b) of the beta law B0 is small against B(a, b), and
-      the reflection would cancel;
-    - |1 - x| <= 0.8 with b > 0: the reflection (DLMF 8.17.4)
-      B(a, b) - B0(1-x; b, a), real or complex x, the tail by the same
-      series; 1 - x is exact for real x in [1/2, 1], and at x = 1 the
-      tail is 0.  Where a real reflection keeps less than 1/100 of
-      B(a, b), the slow series B0(x; a, b) replaces it if it ends within
-      the term cap _MAX_TERMS (_series_ends);
-    - every other x: adaptive quadrature along the straight segment [0, x].
-    x = 1 with b <= 0 raises DomainError: the integral diverges there.
-    The complete value B(a, b) is the sum of the halves B0(1/2; a, b) and
-    B0(1/2; b, a), each in the positive-term form (DLMF 8.17.8)
-    B0(x; a, b) = x^a (1-x)^b/a 2F1(a+b, 1; a+1; x), computed once per
-    (a, b); so for b > 0 no real x in [0, 1] reaches the quadrature, and
-    B(a, b) stays independent of the gamma closed form.  Where that
-    prefactor underflows, the sum carries it as a power of two.
+    Two regimes, split at the mean (a+1)/(a+b+2):
+    - Re x at or below it, and every x when b <= 0: the continued
+      fraction of DLMF 8.17.22 (_b0_fraction);
+    - above it: the reflection (DLMF 8.17.4) B(a, b) - B0(1-x; b, a),
+      whose tail lies below the mean of the swapped parameters and takes
+      the same fraction; at x = 1 the tail is 0.
+    The complete value B(a, b) is the two fractions met at the mean (see
+    _complete_beta), so it stays independent of the gamma closed form.
+    x on the cut (1, inf) raises DomainError, as does x = 1 with b <= 0,
+    where the integral diverges.
     """
     if a <= 0:
         raise DomainError("inc_beta requires a > 0")
     x = complex(x)
-    if x == 0:
-        return 0j
     if x.imag == 0 and x.real > 1:
         raise DomainError("inc_beta argument on the cut [1, inf)")
-    if abs(x) <= 0.8 or (
-        b > 0 and x.imag == 0 and 0 < x.real < a / (a + b) and _series_ends(x.real, a, b, 2000)
-    ):
-        return _b0_series(x, a, b)
-    y = 1 - x
-    if abs(y) <= 0.8 and b > 0:
-        complete = _complete_beta(a, b)
-        value = complete - _b0_series(y, b, a)
-        if (
-            x.imag == 0
-            and abs(value) < 0.01 * abs(complete)
-            and _series_ends(x.real, a, b, _MAX_TERMS)
-        ):
-            return _b0_series(x, a, b)
-        return value
-    if x == 1:
+    if x == 1 and b <= 0:
         raise DomainError("the complete beta B(a, b) diverges for b <= 0")
-    return _inc_beta_quad(x, a, b)
-
-
-def _series_ends(x: float, a: float, b: float, terms: int) -> bool:
-    """Whether _b0_series(x, a, b) meets its stopping rule within the
-    given number of terms, for real x in (0.8, 1).
-
-    Term n of 2F1(a+b, 1; a+1; x) is x^n (a+b)_n/(a+1)_n; past their
-    largest these terms only shrink, so one below e^-40 of the first
-    stops the sum.  For b <= 1 the terms of 2F1(a, 1-b; a+1; x) are at
-    most x^n.  Near x = 1 both sums converge only like x^n.
-    """
-    growth = math.lgamma(a + b + terms) - math.lgamma(a + 1 + terms)
-    growth += math.lgamma(a + 1) - math.lgamma(a + b)
-    return terms * math.log(x) + max(growth, 0.0) < -40
-
-
-# Below this prefactor of the 8.17.8 form its 2F1 sum may overflow (and
-# an underflowed prefactor times that sum gives 0 * inf = nan).
-_TINY = 1e-280
-
-
-def _b0_series(x: complex, a: float, b: float) -> complex:
-    """B0(x; a, b) by a hypergeometric series, for |x| <= 0.8 and for
-    real x in (0.8, 1) where the reflection would cancel.
-
-    For real x in (0, 1) with b > 1 the terms of 2F1(a, 1-b; a+1; x)
-    alternate while n < b - 1 and grow far above the sum before they
-    cancel (to a relative error near 1e12 at B0(0.8; 40.5, 40.5)), so
-    there the positive-term form x^a (1-x)^b/a 2F1(a+b, 1; a+1; x) of
-    DLMF 8.17.8 is used.  Every other x keeps (x^a/a) 2F1(a, 1-b; a+1; x):
-    for b <= 1 its terms are positive on (0, 1), and off the positive
-    axis those of the 8.17.8 form do not stay positive either.
-    """
-    if b > 1 and x.imag == 0 and x.real > 0:
-        prefactor = _qpow(x, a) * _qpow(1 - x, b) / a
-        if abs(prefactor) >= _TINY:
-            return prefactor * hyp2f1(a + b, 1, a + 1, x)
-        x = x.real
-        log2_prefactor = (a * math.log(x) + b * math.log1p(-x) - math.log(a)) / math.log(2)
-        exponent = math.floor(log2_prefactor)
-        return _positive_8178(2.0 ** (log2_prefactor - exponent), exponent, a, b, x)
-    return _qpow(x, a) / a * hyp2f1(a, 1 - b, a + 1, x)
-
-
-def _positive_8178(prefactor: float, exponent: int, a: float, b: float, x: float) -> complex:
-    """prefactor 2^exponent 2F1(a+b, 1; a+1; x) for real x in (0, 1).
-
-    Every term is positive; whenever the sum passes 2^900, it and the
-    term are divided by 2^900 and exponent grows by 900, which is exact,
-    so neither an underflowing prefactor nor an overflowing sum can meet
-    as 0 * inf.  A value below the smallest float returns 0.
-    """
-    term = total = 1.0
-    for n in range(_MAX_TERMS):
-        term *= (a + b + n) / (a + 1 + n) * x
-        total += term
-        if total > _HUGE:
-            term, total, exponent = term / _HUGE, total / _HUGE, exponent + 900
-        if term < 1e-17 * total:
-            return complex(math.ldexp(prefactor * total, exponent))
-    raise NoConvergence(
-        f"8.17.8 series stalled after {n + 1} terms at x = {x:.17g}; "
-        f"last term / sum = {term / total:.3e}"
-    )
-
-
-_HUGE = 2.0**900
+    if b <= 0 or x.real <= (a + 1) / (a + b + 2):
+        return _b0_fraction(x, a, b)
+    return _complete_beta(a, b) - _b0_fraction(1 - x, b, a)
 
 
 @functools.lru_cache(maxsize=256)
 def _complete_beta(a: float, b: float) -> complex:
-    # every term of both series is positive for a, b > 0
-    half_ab = 0.5 ** (a + b)
-    if half_ab >= _TINY:
-        return half_ab * (hyp2f1(a + b, 1, a + 1, 0.5) / a + hyp2f1(a + b, 1, b + 1, 0.5) / b)
-    # 0.5^(a+b) = 0.5^f 2^-k with k = floor(a+b): the power of two is exact
-    k = math.floor(a + b)
-    half_f = 0.5 ** (a + b - k)
-    return _positive_8178(half_f / a, -k, a, b, 0.5) + _positive_8178(half_f / b, -k, b, a, 0.5)
+    """B(a, b) = B0(t; a, b) + B0(1-t; b, a) at the mean t = (a+1)/(a+b+2);
+    with a >= b, t >= 1/2 and 1 - t is exact."""
+    if a < b:
+        return _complete_beta(b, a)
+    mean = (a + 1) / (a + b + 2)
+    return _b0_fraction(mean, a, b) + _b0_fraction(1 - mean, b, a)
 
 
-def _inc_beta_quad(x: complex, a: float, b: float) -> complex:
-    def integrand(t: complex) -> complex:
-        return _qpow(t, a - 1) * _qpow(1 - t, b - 1)
-
-    value, _err = quad_oracle(
-        integrand,
-        0j,
-        x,
-        tol=1e-14,
-        sing_left=max(0.0, 1 - a),
-        from_left=lambda d: integrand(x * d),
+def _b0_fraction(x: complex, a: float, b: float) -> complex:
+    """B0(x; a, b) = x^a (1-x)^b/a / (1 + d1/(1 + d2/(1 + ...))), the
+    continued fraction of DLMF 8.17.22 with
+    d_2m = m(b-m)x/((a+2m-1)(a+2m)) and
+    d_2m+1 = -(a+m)(a+b+m)x/((a+2m)(a+2m+1)),
+    evaluated forwards by the modified Lentz method (Thompson & Barnett,
+    J. Comput. Phys. 64, 1986), in floats when x is real.  A zero
+    denominator is replaced by 1e-300.  It converges fast below the mean
+    (a+1)/(a+b+2); NoConvergence at _MAX_TERMS steps, and DomainError
+    where x^a (1-x)^b exceeds the float range.
+    """
+    if x == 0:
+        return 0j
+    try:
+        if x.imag == 0 and x.real > 0:
+            prefactor = x.real**a * (1 - x.real) ** b / a
+        else:
+            prefactor = cmath.exp(a * cmath.log(x) + b * cmath.log(1 - x)) / a
+    except OverflowError:
+        raise DomainError(f"B0({x}; {a}, {b}) exceeds the float range") from None
+    if x.imag == 0:
+        x = x.real
+    denominator, c, d = 1.0, 1.0, 0.0
+    for k in range(1, _MAX_TERMS + 1):
+        m = k // 2
+        if k % 2:
+            dk = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            dk = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1 / (1 + dk * d or 1e-300)
+        c = 1 + dk / c or 1e-300
+        step = c * d
+        denominator *= step
+        if abs(step - 1) <= 2.2e-16:
+            return complex(prefactor / denominator)
+    raise NoConvergence(
+        f"incomplete beta continued fraction stalled after {k} steps at "
+        f"x = {x}; last |step - 1| = {abs(step - 1):.3e}"
     )
-    return value
 
 
 def appell_f1(a: float, b1: float, b2: float, c: float, x: complex, y: complex) -> complex:

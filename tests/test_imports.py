@@ -97,3 +97,32 @@ def test_dead_code_detector():
         "b.py": "from . import a\n\ndef public():\n    return a._used()\n",
     }
     assert unreferenced_private_defs(sources) == ["_Dead (a.py:5)", "_recursive (a.py:3)"]
+
+
+# The modules that may name the quadrature oracle: its home, the real
+# analog's thm19 oracle, the verify harness, the CLI and the package
+# namespace.  A closed form that names it has started integrating again.
+ORACLE_USERS = {"quadrature.py", "realanalog.py", "verify.py", "cli.py", "__init__.py"}
+
+
+def names(source: str, name: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(name in (alias.asname, alias.name.split(".")[-1]) for alias in node.names):
+                return True
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            return True
+        elif getattr(node, "id", None) == name or getattr(node, "attr", None) == name:
+            return True
+    return False
+
+
+def test_only_the_oracle_users_name_quad_oracle():
+    users = {p.name for p in PACKAGE.glob("*.py") if names(p.read_text(), "quad_oracle")}
+    assert users <= ORACLE_USERS
+
+
+def test_oracle_detector():
+    assert names("from .quadrature import newton, quad_oracle\n", "quad_oracle")
+    assert names("from . import quadrature\nquadrature.quad_oracle(f, 0, 1)\n", "quad_oracle")
+    assert not names("from .quadrature import newton_decreasing\n", "quad_oracle")

@@ -111,7 +111,7 @@ class TestIncompleteBeta:
 
 
 class TestIncompleteBetaReflection:
-    """Real x in (0.8, 1) goes through B(a, b) - B0(1-x; b, a)."""
+    """x above the mean (a+1)/(a+b+2) goes through B(a, b) - B0(1-x; b, a)."""
 
     def test_a_twelfth_near_one_returns(self):
         # quadrature up to x raised NonIntegrable from 1 - x = 3e-11 here
@@ -158,19 +158,19 @@ class TestIncompleteBetaReflection:
             closed = -math.expm1(0.01 * math.log1p(-x)) / 0.01 if x < 1 else 100.0
             assert abs(sf.inc_beta(x, 1.0, 0.01).real - closed) <= 1e-13 * closed
 
-    def test_real_segment_never_reaches_quadrature(self, monkeypatch):
-        calls = []
+    def test_no_point_reaches_quadrature(self, monkeypatch):
+        import lagrev.quadrature
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return quad_oracle(*args, **kwargs)
+        def refused(*args):
+            raise AssertionError("inc_beta reached the quadrature")
 
-        monkeypatch.setattr(sf, "quad_oracle", counted)
+        monkeypatch.setattr(lagrev.quadrature, "_adaptive", refused)
         for a, b in ((0.3125, 0.4375), (1 / 12, 1 / 12), (1.0, 0.01), (40.5, 40.5)):
             for k in range(0, 41):
                 sf.inc_beta(k / 40, a, b)
             sf.inc_beta(1 - 1e-15, a, b)
-        assert calls == []
+            for x in (-3 + 1j, 2j, 5 + 5j, -50, 1.5 - 0.2j):
+                sf.inc_beta(x, a, b)
 
     @pytest.mark.parametrize("a, b", [(1 / 6, 1 / 6), (1 / 2, 1 / 2), (1 / 6, 2 / 3)])
     def test_complex_points_near_one_against_quadrature(self, a, b):
@@ -187,7 +187,7 @@ class TestIncompleteBetaReflection:
 
 
 class TestIncompleteBetaLargeParameters:
-    """B0(x; a, b) for b > 1 on (0, 0.8] by the positive-term form of DLMF 8.17.8."""
+    """B0(x; a, b) for b > 1 on (0, 0.8], where the alternating series cancelled."""
 
     def test_halves_at_a_large_parameter(self):
         # the alternating series gave B0(0.8; 40.5, 40.5) 1.8e12 too large
@@ -204,8 +204,8 @@ class TestIncompleteBetaLargeParameters:
 
 
 class TestIncompleteBetaLargeParameterEdges:
-    """Real x in (0.8, 1) by the direct series where the reflection would
-    cancel, and the 8.17.8 sum with a prefactor below the float range."""
+    """Real x in (0.8, 1) below the mean, where the reflection would cancel,
+    and prefactors x^a (1-x)^b or 0.5^(a+b) below the float range."""
 
     def test_below_the_mean_in_closed_form(self):
         # b = 2: B0(x; a, 2) = x^a ((a+1) - a x)/(a (a+1)); the reflection
@@ -236,20 +236,56 @@ class TestIncompleteBetaLargeParameterEdges:
         assert abs(sf.inc_beta(x, a, b) - expected) <= 1e-12 * expected
 
     def test_cancelled_reflection_takes_the_long_series(self):
-        # about 13000 terms; the reflection keeps 2.5e-12 of B(a, 2) here
+        # below the mean; the reflection keeps 2.5e-12 of B(a, 2) here
         x, a = 0.997, 10000
         closed = x**a * ((a + 1) - a * x) / (a * (a + 1))
         assert abs(sf.inc_beta(x, a, 2).real - closed) <= 1e-13 * closed
 
     def test_near_one_beyond_the_term_cap_reflects(self):
-        # below the mean 0.99995, but the direct series would need about
-        # 400000 terms; the reflection cancels by only 10x (mpmath betainc)
+        # below the mean 0.99995 (mpmath betainc); the direct series would
+        # need about 400000 terms here
         expected = 1.223475762827343
         assert abs(sf.inc_beta(0.9999, 1000, 0.05).real - expected) <= 1e-12 * expected
 
 
+class TestIncompleteBetaAgainstMpmath:
+    """Values pinned against mpmath betainc at the exact doubles."""
+
+    @pytest.mark.parametrize(
+        "x, a, b, expected, rel",
+        [
+            # off the real segment with b > 1
+            (0.5 + 0.1j, 3, 50, 1.5082956259439586e-05 - 8.3267657768298836e-19j, 1e-13),
+            # the fraction's steps are near -x and cancel to 1 - x: about 1e4 ulps
+            (0.9999, 1e6, 0.5, 3.6832859030608102e-48, 1e-11),
+            # small parameters off both unit discs
+            (
+                -1.0850048044535354 + 1.1045726661337258j,
+                0.021569659758031122,
+                0.0971408471115427,
+                45.944679047076909 + 2.775189575861471j,
+                1e-13,
+            ),
+            # b <= 0 just above the cut
+            (3 + 1e-9j, 0.5, -0.5, 2.0412414523193152e-10 + 2.4494897427831781j, 1e-13),
+        ],
+    )
+    def test_value(self, x, a, b, expected, rel):
+        assert abs(sf.inc_beta(x, a, b) - expected) <= rel * abs(expected)
+
+    def test_beyond_the_float_range_raises(self):
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            sf.inc_beta(-50, 300, 2)
+
+    def test_stall_names_its_count_and_last_step(self):
+        # with b <= 0 every x takes the fraction, which converges ever more
+        # slowly as x nears the cut
+        with pytest.raises(NoConvergence, match=r"after 100000 steps .* last \|step - 1\| = "):
+            sf.inc_beta(11.8 - 6e-7j, 0.5, -0.25)
+
+
 class TestCompleteBeta:
-    """B(a, b) = B0(1/2; a, b) + B0(1/2; b, a), each by a positive-term series."""
+    """B(a, b) as the two continued fractions met at the mean."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(

@@ -140,3 +140,25 @@ def test_each_inversion_context_is_built_once(monkeypatch):
     run_suite("all")
     # exp(A), 1/(1-A) and 1+A at order 40, exp(A) at 48, the unit f at 8
     assert sorted(built) == [8, 40, 40, 40, 48]
+
+
+def _statuses(report) -> dict:
+    return {c.id: c.status for c in report.checks}
+
+
+def test_recorded_findings_fail_when_their_condition_breaks(monkeypatch):
+    import lagrev.verify as verify
+
+    before = _statuses(run_suite("paper"))
+    assert before["modular_sum_constant"] == before["fy_sum_real"] == "recorded"
+    assert before["pole_sign_convention"] == "recorded"
+
+    inc_beta = verify.inc_beta
+    monkeypatch.setattr(verify, "inc_beta", lambda *args: inc_beta(*args) * (1 + 1e-9))
+    scaled = _statuses(run_suite("paper"))
+    assert scaled["modular_sum_constant"] == scaled["fy_sum_real"] == "fail"
+    monkeypatch.undo()
+
+    p_of_z = verify.p_of_z
+    monkeypatch.setattr(verify, "p_of_z", lambda ctx, z: -p_of_z(ctx, z))
+    assert _statuses(run_suite("paper"))["pole_sign_convention"] == "fail"

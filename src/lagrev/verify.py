@@ -222,10 +222,12 @@ def _check_hyp2f1_identities() -> _Outcome:
 
 
 def _check_appell_reduction() -> _Outcome:
-    a, b1, b2, c, x = 0.25, 0.5, 0.75, 1.5, 0.3
-    err = abs(appell_f1(a, b1, b2, c, x, 0.0) - hyp2f1(a, b1, c, x))
+    a, b1, b2, c, x, y = 0.25, 0.5, 0.75, 1.5, 0.3, -0.5
+    # c = b1 + b2: F1 = (1-y)^(-a) 2F1(a, b1; b1+b2; (x-y)/(1-y))
+    reduced = (1 - y) ** -a * hyp2f1(a, b1, b1 + b2, (x - y) / (1 - y))
+    err = abs(appell_f1(a, b1, b2, b1 + b2, x, y) - reduced)
     err = max(err, abs(appell_f1(a, b1, b2, c, x, x) - hyp2f1(a, b1 + b2, c, x)))
-    return _Outcome(err, 2, "two-variable hypergeometric collapses to Gauss")
+    return _Outcome(err, 2, "F1 collapses to Gauss at c = b1 + b2 and on the diagonal")
 
 
 def _check_lambert_w_defining() -> _Outcome:

@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lagrev import specfun as sf
@@ -93,6 +93,63 @@ class TestHypergeometric:
         a, b1, b2, c, x = 0.25, 0.5, 0.75, 1.5, 0.3
         assert abs(sf.appell_f1(a, b1, b2, c, x, 0.0) - sf.hyp2f1(a, b1, c, x)) < 1e-13
         assert abs(sf.appell_f1(a, b1, b2, c, x, x) - sf.hyp2f1(a, b1 + b2, c, x)) < 1e-13
+
+
+class TestAppellF1:
+    """The Burchnall-Chaundy expansion in products of Gauss functions."""
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            # mpmath hyp2f1(1/6, 1/3; 7/6; 0.97): F1 on the diagonal is a
+            # 2F1, and mpmath appellf1 reaches its term limit here
+            ((1 / 6, 1 / 6, 1 / 6, 7 / 6, 0.97, 0.97), 1.094069840968365),
+            ((0.25, 0.5, 0.75, 1.5, 0.97, -0.97), 1.03137196634853),
+            (
+                (0.5, 2.0, -1.5, 0.7, 0.9 + 0.3j, -0.5 + 0.8j),
+                1.2134771883442925 + 12.538712854935344j,
+            ),
+        ],
+    )
+    def test_against_mpmath(self, args, expected):
+        assert abs(sf.appell_f1(*args) - expected) < 1e-13 * abs(expected)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.floats(min_value=-1.0, max_value=1.5),
+        st.floats(min_value=-1.0, max_value=1.5),
+        st.floats(min_value=-1.0, max_value=1.5),
+        st.floats(min_value=0.5, max_value=2.5),
+        st.complex_numbers(max_magnitude=0.89),
+        st.complex_numbers(max_magnitude=0.89),
+    )
+    def test_euler_transformation(self, a, b1, b2, c, x, y):
+        # F1(a; b1, b2; c; x, y)
+        #   = (1-x)^-b1 (1-y)^-b2 F1(c-a; b1, b2; c; x/(x-1), y/(y-1))
+        x_image, y_image = x / (x - 1), y / (y - 1)
+        assume(abs(x_image) < 0.9 and abs(y_image) < 0.9)
+        lhs = sf.appell_f1(a, b1, b2, c, x, y)
+        image = sf.appell_f1(c - a, b1, b2, c, x_image, y_image)
+        rhs = (1 - x) ** -b1 * (1 - y) ** -b2 * image
+        assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, -2.0])
+    def test_non_positive_integer_c_is_a_domain_error(self, c):
+        with pytest.raises(DomainError, match="non-positive integer c"):
+            sf.appell_f1(0.5, 0.5, 0.5, c, 0.3, 0.2)
+
+    def test_cost_is_a_short_sum_of_gauss_products(self, monkeypatch):
+        # two Gauss factors for each r = 0, ..., 41
+        calls = []
+        hyp2f1 = sf.hyp2f1
+
+        def counted(*args):
+            calls.append(args)
+            return hyp2f1(*args)
+
+        monkeypatch.setattr(sf, "hyp2f1", counted)
+        sf.appell_f1(1 / 6, 1 / 6, 1 / 6, 7 / 6, 0.97, 0.97)
+        assert 0 < len(calls) <= 100
 
 
 class TestIncompleteBeta:

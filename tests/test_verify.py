@@ -162,3 +162,12 @@ def test_recorded_findings_fail_when_their_condition_breaks(monkeypatch):
     p_of_z = verify.p_of_z
     monkeypatch.setattr(verify, "p_of_z", lambda ctx, z: -p_of_z(ctx, z))
     assert _statuses(run_suite("paper"))["pole_sign_convention"] == "fail"
+
+
+def test_appell_reduction_fails_on_a_scaled_appell_f1(monkeypatch):
+    import lagrev.verify as verify
+
+    assert _statuses(run_suite("classical"))["appell_reduction"] == "pass"
+    appell_f1 = verify.appell_f1
+    monkeypatch.setattr(verify, "appell_f1", lambda *args: appell_f1(*args) * (1 + 1e-9))
+    assert _statuses(run_suite("classical"))["appell_reduction"] == "fail"

@@ -241,15 +241,16 @@ def newton(
     g: Callable[[complex], complex], dg: Callable[[complex], complex], z: complex, tol: float
 ) -> complex:
     """Root of an analytic g by plain Newton steps with the derivative dg
-    from z: the first iterate with |g| < tol.  NoConvergence after 100
+    from z: once |g| < tol, one more step, which takes the quadratically
+    converging iterate to rounding level.  NoConvergence after 100
     evaluations of g, or at a zero derivative; the message names the
     iteration count and the last |g|.
     """
     for k in range(1, _NEWTON_EVALS + 1):
         gz = g(z)
-        if abs(gz) < tol:
-            return z
         slope = dg(z)
+        if abs(gz) < tol:
+            return z - gz / slope if slope else z
         if slope == 0:
             break
         z -= gz / slope

@@ -173,23 +173,128 @@ _MAX_TERMS = 100000
 
 
 def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
-    """Gauss 2F1 by its Maclaurin series; requires |x| < 1."""
-    if c <= 0 and c == int(c):
+    """Gauss 2F1 on |x| < 1 (_gauss): the Maclaurin series where |x| <= 1/2,
+    where |x| is the least of |x|, |1-x| and |x/(x-1)|, or where it stops;
+    Pfaff's map z/(z-1) (DLMF 15.8.1) where |x/(x-1)| is the least; else
+    z -> 1-z with s = c-a-b: DLMF 15.8.4 for s 1e-3 or more from every
+    integer, the logarithmic case 15.8.10 at an integer s (after Euler's
+    transformation to s >= 0), and the Maclaurin series in between.
+    Rounding bound: the value stands when its size is at most 45 |value|,
+    an error near 1e-14 relative; otherwise the Maclaurin sum is taken too
+    and the one of smaller size returned.  DomainError at a non-positive
+    integer c; NoConvergence at _MAX_TERMS terms.
+    """
+    if _is_pole(c):
         raise DomainError("2F1 undefined at non-positive integer c")
     x = complex(x)
     if abs(x) >= 1:
         raise ConvergenceDomain("2F1 series requires |x| < 1")
+    value, size = _gauss(a, b, c, x)
+    if size > 45 * abs(value):
+        value = min((value, size), _maclaurin(a, b, c, x), key=lambda pair: pair[1])[0]
+    return value
+
+
+def _maclaurin(a: float, b: float, c: float, x: complex) -> tuple[complex, float]:
+    """(2F1(a, b; c; x) by its Maclaurin series, the sum of |term|)."""
     term = 1.0 + 0j
-    total = term
+    total, size = term, 1.0
     for n in range(_MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * x
         total += term
-        if abs(term) < 1e-17 * abs(total):
-            return total
+        modulus = abs(term)
+        size += modulus
+        if modulus < 1e-17 * abs(total):
+            return total, size
     raise NoConvergence(
         f"2F1 series stalled after {n + 1} terms at |x| = {abs(x):.17g}; "
         f"last |term| = {abs(term):.3e}"
     )
+
+
+def _gauss(a: float, b: float, c: float, x: complex) -> tuple[complex, float]:
+    """(2F1(a, b; c; x), size) as hyp2f1 describes, c off the poles; the
+    rounding error is about 2.2e-16 size, size being the sum of |term| over
+    every series used times the modulus of its prefactor (inf where a gamma
+    factor overflows)."""
+    w, p, s = 1 - x, x / (x - 1), c - a - b
+    m = round(s)
+    if abs(x) <= max(0.5, min(abs(w), abs(p))) or _is_pole(a) or _is_pole(b):
+        return _maclaurin(a, b, c, x)
+    if abs(p) < abs(w):  # Pfaff, DLMF 15.8.1
+        scale, (value, size) = w**-a, _maclaurin(a, c - b, c, p)
+        return scale * value, abs(scale) * size
+    if s == m < 0:  # Euler's transformation to s > 0
+        scale, (value, size) = w**s, _gauss(c - a, c - b, c, x)
+        return scale * value, abs(scale) * size
+    if s != m and abs(s - m) < 1e-3:
+        return _maclaurin(a, b, c, x)
+    try:
+        if s == m:
+            return _log_case(a, b, m, w)
+        ca, cb, s1, s2 = c - a, c - b, 1 - s, 1 + s  # DLMF 15.8.4
+        first = math.gamma(c) * math.gamma(s) * _rgamma(ca) * _rgamma(cb)
+        second = math.gamma(c) * math.gamma(-s) * _rgamma(a) * _rgamma(b) * w**s
+    except (OverflowError, ZeroDivisionError):
+        return 0j, math.inf
+    (f1, size1), (f2, size2) = _maclaurin(a, b, s1, w), _maclaurin(ca, cb, s2, w)
+    # The two terms cancel near a pole of Gamma(s); there the rounding of
+    # the derived parameters counts, amplified by 1/|s - m|.
+    exact = ((c, -a, -b, -s), (c, -a, -ca), (c, -b, -cb), (1, -s, -s1), (1, s, -s2))
+    slip = sum(abs(math.fsum(t)) for t in exact)
+    size = abs(first) * size1 + abs(second) * size2
+    size += (abs(first * f1) + abs(second * f2)) * slip / (2.2e-16 * abs(s - m))
+    return first * f1 + second * f2, size
+
+
+def _log_case(a: float, b: float, m: int, w: complex) -> tuple[complex, float]:
+    """(2F1(a, b; a+b+m; 1-w), size) at an integer m >= 0: DLMF 15.8.10
+    times Gamma(a+b+m), a sum of m terms and a logarithmic series."""
+    first = math.gamma(a + b + m) * _rgamma(a + m) * _rgamma(b + m)
+    second = -math.gamma(a + b + m) * _rgamma(a) * _rgamma(b) * (-w) ** m
+    finite, size1, rising = 0j, 0.0, 1.0 + 0j  # rising = (a)_k (b)_k (-w)^k / k!
+    for k in range(m):
+        term = rising * math.factorial(m - k - 1)
+        finite, size1 = finite + term, size1 + abs(term)
+        rising *= (a + k) * (b + k) / (k + 1) * -w
+    # coeff = (a+m)_k (b+m)_k w^k / (k! (k+m)!), and psi holds
+    # psi(k+1) + psi(k+m+1) - psi(a+k+m) - psi(b+k+m), each by psi(y+1) = psi(y) + 1/y
+    log_w, coeff = cmath.log(w), 1.0 / math.factorial(m) + 0j
+    series, size2 = 0j, 0.0
+    psi = _digamma(1) + _digamma(m + 1) - _digamma(a + m) - _digamma(b + m)
+    for k in range(_MAX_TERMS):
+        series += coeff * (log_w - psi)
+        bound = abs(coeff) * (1 + abs(log_w - psi))
+        size2 += bound
+        if bound < 1e-17 * abs(series):
+            return first * finite + second * series, abs(first) * size1 + abs(second) * size2
+        psi += 1 / (k + 1) + 1 / (k + m + 1) - 1 / (a + k + m) - 1 / (b + k + m)
+        coeff *= (a + m + k) * (b + m + k) / ((k + 1) * (k + m + 1)) * w
+    raise NoConvergence(
+        f"2F1 logarithmic series stalled after {k + 1} terms at |1 - x| = {abs(w):.17g}"
+    )
+
+
+def _is_pole(x: float) -> bool:
+    """x is a non-positive integer, a pole of Gamma."""
+    return x <= 0 and x == int(x)
+
+
+def _rgamma(x: float) -> float:
+    """1/Gamma(x), 0 at the poles."""
+    return 0.0 if _is_pole(x) else 1 / math.gamma(x)
+
+
+def _digamma(x: float) -> float:
+    """psi(x) off the poles: psi(x) = psi(x+1) - 1/x up to x >= 10, then
+    the asymptotic series of DLMF 5.11.2 through x^-14."""
+    shift = 0.0
+    while x < 10:
+        shift, x = shift - 1 / x, x + 1
+    tail, y = 0.0, 1 / (x * x)
+    for coefficient in (1 / 12, -691 / 32760, 1 / 132, -1 / 240, 1 / 252, -1 / 120, 1 / 12):
+        tail = y * (coefficient + tail)  # sum of B_2k / (2k x^2k), from k = 7 down
+    return shift + math.log(x) - 0.5 / x - tail
 
 
 def inc_beta(x, a: float, b: float) -> complex:
@@ -275,18 +380,26 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: complex, y: complex) 
     functions:
     F1 = sum_r t_r (xy)^r 2F1(a+r, b1+r; c+2r; x) 2F1(a+r, b2+r; c+2r; y),
     t_r = (a)_r (b1)_r (b2)_r (c-a)_r / ((c+r-1)_r (c)_2r r!).
-    Cost: two `hyp2f1` calls per r; for F1_inverse's parameters the sum
-    ends at r = 41 at x = y = 0.97 and at r = 68 at 0.99.  It stops at the
-    first zero coefficient (with x or y 0, the r = 0 term alone).  The
-    first `hyp2f1` call raises DomainError at a non-positive integer c;
-    NoConvergence at _MAX_TERMS terms.
+    Cost: two Gauss factors per r, from `hyp2f1` at r = 0 and from _gauss
+    after; `hyp2f1` recomputes a pair whose rounding bound
+    |coeff| (size_x |F_y| + size_y |F_x|) exceeds 45 |total|.  For
+    F1_inverse's parameters the sum ends at r = 41 at x = y = 0.97 (2-4 ms)
+    and at r = 68 at 0.99.  It stops at the first zero coefficient (with x
+    or y 0, the r = 0 term alone).  The first `hyp2f1` call raises
+    DomainError at a non-positive integer c; NoConvergence at _MAX_TERMS
+    terms.
     """
     x, y = complex(x), complex(y)
     if abs(x) >= 1 or abs(y) >= 1:
         raise ConvergenceDomain("Appell F1 series requires |x| < 1 and |y| < 1")
     coeff, total = 1.0 + 0j, 0j  # coeff = t_r (xy)^r
     for r in range(_MAX_TERMS):
-        term = coeff * hyp2f1(a + r, b1 + r, c + 2 * r, x) * hyp2f1(a + r, b2 + r, c + 2 * r, y)
+        args_x, args_y = (a + r, b1 + r, c + 2 * r, x), (a + r, b2 + r, c + 2 * r, y)
+        if r:
+            (fx, size_x), (fy, size_y) = _gauss(*args_x), _gauss(*args_y)
+        if not r or abs(coeff) * (size_x * abs(fy) + size_y * abs(fx)) > 45 * abs(total):
+            fx, fy = hyp2f1(*args_x), hyp2f1(*args_y)
+        term = coeff * fx * fy
         total += term
         if abs(term) < 1e-17 * abs(total):  # never at r = 0, where term = total
             return total

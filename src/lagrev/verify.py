@@ -212,13 +212,16 @@ def _check_incomplete_beta_complete() -> _Outcome:
 
 
 def _check_hyp2f1_identities() -> _Outcome:
+    # 0.3 and -0.5 take the Maclaurin series, -0.9 Pfaff's map, 0.9 and
+    # 0.9999 the logarithmic case DLMF 15.8.10; Euler at 0.95 takes 15.8.4
     err = 0.0
-    for z in (0.3, -0.5):
+    for z in (0.3, -0.5, -0.9, 0.9, 0.9999):
         err = max(err, abs(hyp2f1(1.0, 1.0, 2.0, z) + cmath.log(1.0 - z) / z))
-    a, b, c, x = 1.0 / 6.0, 1.0 / 3.0, 7.0 / 6.0, 0.4
-    euler = (1.0 - x) ** (c - a - b) * hyp2f1(c - a, c - b, c, x)
-    err = max(err, abs(hyp2f1(a, b, c, x) - euler))
-    return _Outcome(err, 3, "logarithmic case and the Euler transformation")
+    a, b, c = 1.0 / 6.0, 1.0 / 3.0, 7.0 / 6.0
+    for x in (0.4, 0.95):
+        euler = (1.0 - x) ** (c - a - b) * hyp2f1(c - a, c - b, c, x)
+        err = max(err, abs(hyp2f1(a, b, c, x) - euler))
+    return _Outcome(err, 7, "logarithmic case and the Euler transformation, in all four regions")
 
 
 def _check_appell_reduction() -> _Outcome:

@@ -146,6 +146,11 @@ class TestNewton:
         assert abs(g(root)) < 1e-14
         assert len(seen) <= 9
 
+    def test_last_step_reaches_rounding_level(self):
+        # |g| < 1e-6 stops the iteration, and one more step squares the error
+        root = newton(lambda z: z * z + 1.0, lambda z: 2.0 * z, 1.0 + 1.0j, 1e-6)
+        assert abs(root - 1j) < 1e-15
+
     def test_evaluation_cap_message(self):
         # exp has no root: each step moves z by -1, so after 100
         # evaluations the last |g| is exp(-99)

@@ -171,3 +171,13 @@ def test_appell_reduction_fails_on_a_scaled_appell_f1(monkeypatch):
     appell_f1 = verify.appell_f1
     monkeypatch.setattr(verify, "appell_f1", lambda *args: appell_f1(*args) * (1 + 1e-9))
     assert _statuses(run_suite("classical"))["appell_reduction"] == "fail"
+
+
+def test_hyp2f1_identities_fail_on_scaled_connection_coefficients(monkeypatch):
+    import lagrev.specfun as specfun
+
+    assert _statuses(run_suite("classical"))["hyp2f1_identities"] == "pass"
+    rgamma = specfun._rgamma
+    # every 1 - z connection coefficient carries two reciprocal gammas
+    monkeypatch.setattr(specfun, "_rgamma", lambda x: rgamma(x) * (1 + 1e-9))
+    assert _statuses(run_suite("classical"))["hyp2f1_identities"] == "fail"

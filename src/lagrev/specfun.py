@@ -171,6 +171,10 @@ def gamma_fn(x) -> complex:
 # continued fraction.
 _MAX_TERMS = 100000
 
+# Rounding bound of the Gauss core: a value whose size (see _gauss) is at
+# most this many times its modulus carries an error near 1e-14 relative.
+_ROUNDING_BOUND = 45
+
 
 def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
     """Gauss 2F1 on |x| < 1 (_gauss): the Maclaurin series where |x| <= 1/2,
@@ -179,10 +183,11 @@ def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
     z -> 1-z with s = c-a-b: DLMF 15.8.4 for s 1e-3 or more from every
     integer, the logarithmic case 15.8.10 at an integer s (after Euler's
     transformation to s >= 0), and the Maclaurin series in between.
-    Rounding bound: the value stands when its size is at most 45 |value|,
-    an error near 1e-14 relative; otherwise the Maclaurin sum is taken too
-    and the one of smaller size returned.  DomainError at a non-positive
-    integer c; NoConvergence at _MAX_TERMS terms.
+    Rounding bound: the value stands when its size is at most
+    _ROUNDING_BOUND (45) times |value|, an error near 1e-14 relative;
+    otherwise the Maclaurin sum is taken too and returned, unless its size
+    is the larger.  DomainError at a non-positive integer c; NoConvergence
+    at _MAX_TERMS terms.
     """
     if _is_pole(c):
         raise DomainError("2F1 undefined at non-positive integer c")
@@ -190,8 +195,9 @@ def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
     if abs(x) >= 1:
         raise ConvergenceDomain("2F1 series requires |x| < 1")
     value, size = _gauss(a, b, c, x)
-    if size > 45 * abs(value):
-        value = min((value, size), _maclaurin(a, b, c, x), key=lambda pair: pair[1])[0]
+    if not size <= _ROUNDING_BOUND * abs(value):
+        # the Maclaurin sum wins ties, so a core out of range (size inf) never stands
+        value = min(_maclaurin(a, b, c, x), (value, size), key=lambda pair: pair[1])[0]
     return value
 
 
@@ -215,8 +221,20 @@ def _maclaurin(a: float, b: float, c: float, x: complex) -> tuple[complex, float
 def _gauss(a: float, b: float, c: float, x: complex) -> tuple[complex, float]:
     """(2F1(a, b; c; x), size) as hyp2f1 describes, c off the poles; the
     rounding error is about 2.2e-16 size, size being the sum of |term| over
-    every series used times the modulus of its prefactor (inf where a gamma
-    factor overflows)."""
+    every series used times the modulus of its prefactor.  (0j, inf) where
+    a factor or the value leaves the float range."""
+    try:
+        value, size = _represent(a, b, c, x)
+    except (OverflowError, ZeroDivisionError):
+        return 0j, math.inf
+    if cmath.isfinite(value) and math.isfinite(size):
+        return value, size
+    return 0j, math.inf
+
+
+def _represent(a: float, b: float, c: float, x: complex) -> tuple[complex, float]:
+    """(2F1(a, b; c; x), size) by the representation _gauss picks; a factor
+    out of the float range raises or comes back inf or nan."""
     w, p, s = 1 - x, x / (x - 1), c - a - b
     m = round(s)
     if abs(x) <= max(0.5, min(abs(w), abs(p))) or _is_pole(a) or _is_pole(b):
@@ -229,21 +247,24 @@ def _gauss(a: float, b: float, c: float, x: complex) -> tuple[complex, float]:
         return scale * value, abs(scale) * size
     if s != m and abs(s - m) < 1e-3:
         return _maclaurin(a, b, c, x)
-    try:
-        if s == m:
-            return _log_case(a, b, m, w)
-        ca, cb, s1, s2 = c - a, c - b, 1 - s, 1 + s  # DLMF 15.8.4
-        first = math.gamma(c) * math.gamma(s) * _rgamma(ca) * _rgamma(cb)
-        second = math.gamma(c) * math.gamma(-s) * _rgamma(a) * _rgamma(b) * w**s
-    except (OverflowError, ZeroDivisionError):
-        return 0j, math.inf
+    if s == m:
+        return _log_case(a, b, m, w)
+    ca, cb, s1, s2 = c - a, c - b, 1 - s, 1 + s  # DLMF 15.8.4
+    # gammas and reciprocals alternate, so that no partial product overflows
+    # where the whole does not
+    first = math.gamma(c) * _rgamma(ca) * math.gamma(s) * _rgamma(cb)
+    second = math.gamma(c) * _rgamma(a) * math.gamma(-s) * _rgamma(b) * w**s
     (f1, size1), (f2, size2) = _maclaurin(a, b, s1, w), _maclaurin(ca, cb, s2, w)
-    # The two terms cancel near a pole of Gamma(s); there the rounding of
-    # the derived parameters counts, amplified by 1/|s - m|.
+    # The two terms cancel, most near a pole of Gamma(s), so their own
+    # rounding counts: each prefactor's, a few ulps for its gammas (math.gamma
+    # is within 4) and |s log w| for w^s, and that of the derived parameters,
+    # amplified by 1/|s - m|.
     exact = ((c, -a, -b, -s), (c, -a, -ca), (c, -b, -cb), (1, -s, -s1), (1, s, -s2))
     slip = sum(abs(math.fsum(t)) for t in exact)
+    term1, term2 = abs(first * f1), abs(second * f2)
     size = abs(first) * size1 + abs(second) * size2
-    size += (abs(first * f1) + abs(second * f2)) * slip / (2.2e-16 * abs(s - m))
+    size += 4 * (term1 + term2) + abs(s * cmath.log(w)) * term2
+    size += (term1 + term2) * slip / (2.2e-16 * abs(s - m))
     return first * f1 + second * f2, size
 
 
@@ -381,10 +402,12 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: complex, y: complex) 
     F1 = sum_r t_r (xy)^r 2F1(a+r, b1+r; c+2r; x) 2F1(a+r, b2+r; c+2r; y),
     t_r = (a)_r (b1)_r (b2)_r (c-a)_r / ((c+r-1)_r (c)_2r r!).
     Cost: two Gauss factors per r, from `hyp2f1` at r = 0 and from _gauss
-    after; `hyp2f1` recomputes a pair whose rounding bound
-    |coeff| (size_x |F_y| + size_y |F_x|) exceeds 45 |total|.  For
-    F1_inverse's parameters the sum ends at r = 41 at x = y = 0.97 (2-4 ms)
-    and at r = 68 at 0.99.  It stops at the first zero coefficient (with x
+    after; `hyp2f1` recomputes a pair unless its rounding
+    |coeff| (size_x |F_y| + size_y |F_x|) is at most _ROUNDING_BOUND |total|
+    (so also where a size is inf).  For F1_inverse's parameters the sum
+    ends at r = 41 at x = y = 0.97 (2-4 ms) and at r = 68 at 0.99; past
+    r = 85 Gamma(c+2r) overflows and every pair comes from `hyp2f1`'s
+    Maclaurin sum (4.9 s at x = y = 0.999).  It stops at the first zero coefficient (with x
     or y 0, the r = 0 term alone).  The first `hyp2f1` call raises
     DomainError at a non-positive integer c; NoConvergence at _MAX_TERMS
     terms.
@@ -397,7 +420,8 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: complex, y: complex) 
         args_x, args_y = (a + r, b1 + r, c + 2 * r, x), (a + r, b2 + r, c + 2 * r, y)
         if r:
             (fx, size_x), (fy, size_y) = _gauss(*args_x), _gauss(*args_y)
-        if not r or abs(coeff) * (size_x * abs(fy) + size_y * abs(fx)) > 45 * abs(total):
+        bound = _ROUNDING_BOUND * abs(total)
+        if not r or not abs(coeff) * (size_x * abs(fy) + size_y * abs(fx)) <= bound:
             fx, fy = hyp2f1(*args_x), hyp2f1(*args_y)
         term = coeff * fx * fy
         total += term

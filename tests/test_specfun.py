@@ -65,6 +65,17 @@ class TestGamma:
         assert abs(sf.gamma_fn(x) * sf.gamma_fn(1 - x) - math.pi / math.sin(math.pi * x)) < 1e-12
 
 
+def _plain_maclaurin(a, b, c, x):
+    """2F1(a, b; c; x) by its Maclaurin series alone, to the last bit."""
+    term = total = 1.0 + 0j
+    n = 0
+    while abs(term) >= 1e-17 * abs(total):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * x
+        total += term
+        n += 1
+    return total
+
+
 class TestHypergeometric:
     def test_log_case(self):
         for z in (0.3, -0.4):
@@ -119,6 +130,14 @@ class TestHypergeometric:
         value = sf.hyp2f1(a, b, c, 0.5693411995222358 + 0.6491257492487287j)
         assert abs(value - expected) < 1e-14 * abs(expected)
 
+    def test_cancelling_terms_count_their_prefactors(self):
+        # s = -2.037: the terms of DLMF 15.8.4 are 14 times the value and
+        # their gamma prefactors 0.8 and 3.5 ulps off; counted without that
+        # rounding, the size passes the bound and the value reads 2.0e-14 off
+        a, b, c, x = 1.9337782039718752, 4.76397198056114, 4.660792902353632, 0.5590937089948971
+        expected = 5.0827724003689363  # mpmath at 40 digits
+        assert abs(sf.hyp2f1(a, b, c, x) - expected) < 1e-14 * expected
+
     def test_digamma(self):
         euler = 0.57721566490153286
         assert abs(sf._digamma(1.0) + euler) < 1e-15
@@ -134,13 +153,36 @@ class TestHypergeometric:
     )
     def test_agrees_with_the_maclaurin_sum(self, a, b, c, modulus, angle):
         x = cmath.rect(modulus, angle)
-        term = total = 1.0 + 0j
-        n = 0
-        while abs(term) >= 1e-17 * abs(total):
-            term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * x
-            total += term
-            n += 1
+        total = _plain_maclaurin(a, b, c, x)
         assert abs(sf.hyp2f1(a, b, c, x) - total) <= 1e-12 * abs(total)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # Gamma(c) Gamma(s) = 3.7e156 * 3.7e154 would overflow unpaired
+            (0.5, 0.5, 100.3, 0.9),
+            (0.5, 0.5, 200.5, 0.9),  # Gamma(c) past the float range
+        ],
+    )
+    def test_large_c_against_the_maclaurin_sum(self, args):
+        expected = _plain_maclaurin(*args)
+        assert abs(sf.hyp2f1(*args) - expected) < 1e-14 * abs(expected)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (0.5, 0.5, 200.5, 0.9),  # math.gamma(200.5) raises
+            (80.0, 80.0, 10.5, 0.99),  # the 15.8.4 terms come back inf and nan
+        ],
+    )
+    def test_core_out_of_range_has_infinite_size(self, args):
+        assert sf._gauss(*args) == (0j, math.inf)
+
+    def test_value_past_the_float_range_is_inf(self):
+        # mpmath: 2F1(80, 80; 10.5; 0.99) exceeds the float range; the
+        # Maclaurin sum overflows to inf and the failed core does not stand
+        value = sf.hyp2f1(80.0, 80.0, 10.5, 0.99)
+        assert value.real == math.inf and value.imag == 0
 
     def test_decade_four_sums_few_terms(self, monkeypatch):
         # every series loop of the module steps through range
@@ -203,6 +245,16 @@ class TestAppellF1:
     def test_non_positive_integer_c_is_a_domain_error(self, c):
         with pytest.raises(DomainError, match="non-positive integer c"):
             sf.appell_f1(0.5, 0.5, 0.5, c, 0.3, 0.2)
+
+    def test_factors_past_the_gamma_range(self):
+        # the sum runs past r = 85, where Gamma(c + 2r) overflows in both
+        # 1 - z factors and each pair comes from hyp2f1's Maclaurin sum;
+        # on the diagonal F1 is 2F1(a, b1 + b2; c; x)
+        value = sf.appell_f1(1 / 6, 1 / 6, 1 / 6, 7 / 6, 0.999, 0.999)
+        expected = sf.hyp2f1(1 / 6, 1 / 3, 7 / 6, 0.999)
+        assert abs(value - expected) < 1e-13 * abs(expected)
+        # mpmath hyp2f1 at 40 digits
+        assert abs(expected - 1.1105970173860691) < 1e-15
 
     def test_cost_is_a_short_sum_of_gauss_products(self, monkeypatch):
         # two Gauss factors for each r = 0, ..., 41

@@ -32,7 +32,6 @@ from .inversion import (
     FuncSpec,
     InversionContext,
     build_context,
-    funcspec_from_callable,
     solve_w_direct,
     to_funcspec,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "defining_residual",
     "emit_report",
     "eval_expr",
-    "funcspec_from_callable",
     "lagrange_revert",
     "parse_expr",
     "print_expr",

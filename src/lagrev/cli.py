@@ -47,6 +47,7 @@ from .realanalog import (
     thm20_fit,
     thm20_residual,
 )
+from .series import TruncSeries
 from . import specfun
 from .verify import emit_report, run_suite
 
@@ -185,12 +186,9 @@ def _cmd_integral(args) -> int:
         if args.f1 is None:
             integrand = q.evaluate
         else:
-            tree = parse_expr(args.f1)
-
             def p0(u: complex) -> complex:
-                h = 1e-7 * (1.0 + abs(u))
-                f0 = eval_expr(tree, u)
-                return (eval_expr(tree, u + h) - eval_expr(tree, u - h)) / (2 * h * f0)
+                fu, fprime = eval_expr(tree, TruncSeries((u, 1))).coeffs
+                return fprime / fu
 
             integrand = f1_integrand(q, args.c, p0)
         oracle, _ = quad_oracle(integrand, a1, a2, **kwargs)

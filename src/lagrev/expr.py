@@ -23,12 +23,19 @@ from fractions import Fraction
 from typing import Union
 
 from . import series as qs
-from .errors import CompositionDomain, DegenerateSeries, ParseError
+from .errors import DegenerateSeries, ParseError
 from .series import TruncSeries
 
 Node = Union["Number", "Imag", "Var", "Neg", "BinOp", "Pow", "Call"]
 
-_FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
+# name: (scalar function, series function)
+_CALLS = {
+    "exp": (cmath.exp, qs.s_exp),
+    "log": (cmath.log, qs.s_log),
+    "sin": (cmath.sin, qs.s_sin),
+    "cos": (cmath.cos, qs.s_cos),
+    "sqrt": (cmath.sqrt, lambda s: qs.s_pow(s, 0.5)),
+}
 
 
 @dataclass(frozen=True)
@@ -178,7 +185,7 @@ class _Parser:
                 return Imag()
             if text == "A":
                 return Var()
-            if text in _FUNCTIONS:
+            if text in _CALLS:
                 self.expect_sym("(")
                 inner = self.expr()
                 self.expect_sym(")")
@@ -263,63 +270,28 @@ def print_expr(node: Node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def eval_expr(node: Node, a: complex) -> complex:
-    """Evaluate the tree at A = a with principal branches."""
-    if isinstance(node, Number):
-        return complex(node.value)
-    if isinstance(node, Imag):
-        return 1j
+def eval_expr(node: Node, a):
+    """Evaluate the tree at A = a, a complex number or a TruncSeries, with
+    principal branches.
+
+    Bound to qs.identity(N), A gives the Taylor expansion at 0; bound to
+    the jet TruncSeries((a0, 1)), it gives f(a0) and f'(a0) as
+    coefficients 0 and 1.  A series walk raises DegenerateSeries naming
+    the offending subexpression when a log/sqrt/fractional power or
+    division has no expansion there.
+    """
+    is_series = isinstance(a, TruncSeries)
+    if isinstance(node, (Number, Imag)):
+        value = 1j if isinstance(node, Imag) else node.value
+        return qs.constant(value, a.order) if is_series else complex(value)
     if isinstance(node, Var):
-        return complex(a)
+        return a if is_series else complex(a)
     if isinstance(node, Neg):
         return -eval_expr(node.child, a)
-    if isinstance(node, BinOp):
-        left = eval_expr(node.left, a)
-        right = eval_expr(node.right, a)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left / right
-    if isinstance(node, Pow):
-        base = eval_expr(node.base, a)
-        e = node.exponent
-        if e.denominator == 1:
-            return base ** e.numerator
-        return base ** float(e)
-    if isinstance(node, Call):
-        arg = eval_expr(node.arg, a)
-        fn = {
-            "exp": cmath.exp,
-            "log": cmath.log,
-            "sin": cmath.sin,
-            "cos": cmath.cos,
-            "sqrt": cmath.sqrt,
-        }[node.name]
-        return fn(arg)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def series_expr(node: Node, order: int) -> TruncSeries:
-    """Taylor expansion at A = 0 by structural recursion.
-
-    Raises DegenerateSeries naming the offending subexpression when a
-    log/sqrt/fractional power or division has no expansion at 0.
-    """
-    if isinstance(node, Number):
-        return qs.constant(node.value, order)
-    if isinstance(node, Imag):
-        return qs.constant(1j, order)
-    if isinstance(node, Var):
-        return qs.identity(order)
-    if isinstance(node, Neg):
-        return -series_expr(node.child, order)
     try:
         if isinstance(node, BinOp):
-            left = series_expr(node.left, order)
-            right = series_expr(node.right, order)
+            left = eval_expr(node.left, a)
+            right = eval_expr(node.right, a)
             if node.op == "+":
                 return left + right
             if node.op == "-":
@@ -328,23 +300,16 @@ def series_expr(node: Node, order: int) -> TruncSeries:
                 return left * right
             return left / right
         if isinstance(node, Pow):
-            base = series_expr(node.base, order)
+            base = eval_expr(node.base, a)
             e = node.exponent
-            if e.denominator == 1 and e.numerator >= 0:
-                return qs.s_pow(base, e.numerator)
-            return qs.s_pow(base, float(e))
+            k = e.numerator if e.denominator == 1 else float(e)
+            return qs.s_pow(base, k) if is_series else base**k
         if isinstance(node, Call):
-            arg = series_expr(node.arg, order)
-            fn = {
-                "exp": qs.s_exp,
-                "log": qs.s_log,
-                "sin": qs.s_sin,
-                "cos": qs.s_cos,
-                "sqrt": lambda s: qs.s_pow(s, 0.5),
-            }[node.name]
-            return fn(arg)
-    except (DegenerateSeries, CompositionDomain) as exc:
+            scalar_fn, series_fn = _CALLS[node.name]
+            arg = eval_expr(node.arg, a)
+            return series_fn(arg) if is_series else scalar_fn(arg)
+    except DegenerateSeries as exc:
         raise DegenerateSeries(
-            f"no expansion at 0 for subexpression {print_expr(node)!r}: {exc}"
+            f"no expansion for subexpression {print_expr(node)!r}: {exc}"
         ) from exc
     raise TypeError(f"not an expression node: {node!r}")

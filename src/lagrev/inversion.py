@@ -15,7 +15,7 @@ from typing import Callable
 
 from . import series as qs
 from .errors import AccuracyLoss, BranchError, PoleError, ZeroAtOrigin
-from .expr import Node, eval_expr, series_expr
+from .expr import Node, eval_expr
 from .quadrature import newton
 from .series import TruncSeries, eval_series, lagrange_revert
 from .specfun import _as_z, appell_f1, e_map
@@ -25,25 +25,15 @@ _TWO_PI_I = 2j * math.pi
 
 @dataclass(frozen=True)
 class FuncSpec:
-    """A function f(A) carried as Taylor series at 0 and evaluator."""
+    """A function f(A) carried as its expression tree and its Taylor
+    series at 0."""
 
+    tree: Node
     series: TruncSeries
-    evaluator: Callable[[complex], complex]
 
 
 def to_funcspec(tree: Node, order: int = qs.DEFAULT_MAX_ORDER) -> FuncSpec:
-    return FuncSpec(
-        series=series_expr(tree, order),
-        evaluator=lambda a: eval_expr(tree, a),
-    )
-
-
-def funcspec_from_callable(
-    fn: Callable[[complex], complex], order: int = qs.DEFAULT_MAX_ORDER
-) -> FuncSpec:
-    """FuncSpec for a black-box analytic fn; series by Cauchy coefficients."""
-    coeffs = cauchy_taylor(fn, 0j, order, radius=0.25)
-    return FuncSpec(series=TruncSeries(tuple(coeffs)), evaluator=fn)
+    return FuncSpec(tree, eval_expr(tree, qs.identity(order)))
 
 
 @dataclass(frozen=True)
@@ -62,19 +52,17 @@ def build_context(f: FuncSpec, order: int, c: complex = 0j) -> InversionContext:
 
 
 def solve_w_direct(f: FuncSpec, q: complex, tol: float = 1e-13) -> complex:
-    """Newton oracle for w/f(w) = q: quadrature's newton from w0 = q*f(0)."""
-    f0 = f.evaluator(0j)
+    """Newton oracle for w/f(w) = q: quadrature's newton from w0 = q*f(0),
+    with the exact slope from the jet f(w) + f'(w) eps."""
+    f0 = eval_expr(f.tree, 0j)
     if f0 == 0:
         raise ZeroAtOrigin("f vanishes at the origin")
 
     def slope(w: complex) -> complex:
-        # analytic f: central difference is accurate to ~h^2
-        h = 1e-7 * (1.0 + abs(w))
-        fw = f.evaluator(w)
-        fprime = (f.evaluator(w + h) - f.evaluator(w - h)) / (2 * h)
+        fw, fprime = eval_expr(f.tree, TruncSeries((w, 1))).coeffs
         return (fw - w * fprime) / (fw * fw)
 
-    return newton(lambda w: w / f.evaluator(w) - q, slope, complex(q) * f0, tol)
+    return newton(lambda w: w / eval_expr(f.tree, w) - q, slope, complex(q) * f0, tol)
 
 
 def _q_w_prime(ctx: InversionContext, q: complex) -> complex:

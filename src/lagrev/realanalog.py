@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NoBracket, NonMonotone
+from .expr import eval_expr
 from .inversion import F1_forward, InversionContext, _q_w_prime, build_context
 from .quadint import QuadraticPowerIntegral, U_antideriv, beta_endpoint
 from .quadrature import newton_decreasing, quad_oracle
@@ -191,7 +192,7 @@ def thm20_fit(
     shifts = []
     for a in anchors:
         level = L_of(ctx, a, lo, hi)
-        q = level / ctx.f.evaluator(level).real
+        q = level / eval_expr(ctx.f.tree, level).real
         shifts.append(h_map(a) - (math.log(q) / math.pi) ** 2)
     return sum(shifts) / len(shifts), 1
 

@@ -103,6 +103,32 @@ class TestIntegral:
         assert payload["value_re"] == pytest.approx(math.pi / 2, abs=1e-10)
         assert payload["oracle_re"] is None
 
+    @pytest.mark.parametrize(
+        "f1",
+        [
+            "1+A",
+            "1+A^2",
+            pytest.param(
+                "exp(A)",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="log_f is the principal log of f, which jumps by 2 pi i "
+                    "once |Im u| > pi (see closed_integral_thm13_1)",
+                ),
+            ),
+        ],
+    )
+    def test_f1_oracle_meets_the_closed_form(self, capsys, f1):
+        # the oracle's weight p0 = f'/f comes from a jet; a finite-difference
+        # slope left ~1e-10 noise that stalled the adaptive quadrature
+        code, out, _ = run(
+            capsys,
+            "integral", "--a1", "-1", "--b1", "0", "--c1", "1", "--m", "1/2",
+            "--r1", "2.56", "--r2", "6.25", "--oracle", "--f1", f1,
+        )
+        assert code == 0
+        assert json.loads(out)["abs_err"] < 1e-12
+
 
 class TestReal:
     def test_thm19_two_paths(self, capsys):

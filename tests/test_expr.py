@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagrev.errors import DegenerateSeries, ParseError
-from lagrev.expr import eval_expr, parse_expr, print_expr, series_expr
-from lagrev.series import eval_series
+from lagrev.expr import eval_expr, parse_expr, print_expr
+from lagrev.series import TruncSeries, eval_series, identity
 
 # fixed corpus: parse -> print -> parse must be a fixpoint on every entry
 CORPUS = [
@@ -59,13 +59,17 @@ class TestRoundTrip:
         if src == "A^1/2":
             # no expansion at 0; still a valid expression pointwise
             with pytest.raises(DegenerateSeries):
-                series_expr(tree, 32)
+                eval_expr(tree, identity(32))
             return
-        s = series_expr(tree, 32)
+        s = eval_expr(tree, identity(32))
         for a in (0.05, -0.03, 0.02 + 0.04j):
             direct = eval_expr(tree, a)
             via_series, _ = eval_series(s, a)
             assert abs(direct - via_series) < 1e-10
+            # the jet a + eps carries f(a) and f'(a)
+            value, slope = eval_expr(tree, TruncSeries((a, 1))).coeffs
+            assert abs(value - direct) <= 1e-15 * abs(direct)
+            assert abs(slope - eval_series(s.derivative(), a)[0]) < 1e-12
 
     def test_corpus_size(self):
         assert len(CORPUS) == 30
@@ -88,7 +92,7 @@ class TestSemantics:
         assert eval_expr(parse_expr("-A^2"), 3.0) == pytest.approx(-9.0)
 
     def test_exp_series_prefix(self):
-        s = series_expr(parse_expr("exp(A)"), 4)
+        s = eval_expr(parse_expr("exp(A)"), identity(4))
         expected = (1.0, 1.0, 0.5, 1 / 6, 1 / 24)
         for c, e in zip(s.coeffs, expected):
             assert c == pytest.approx(e, abs=1e-14)
@@ -117,11 +121,11 @@ class TestErrors:
 
     def test_log_at_origin_has_no_series(self):
         with pytest.raises(DegenerateSeries):
-            series_expr(parse_expr("log(A)"), 4)
+            eval_expr(parse_expr("log(A)"), identity(4))
 
     def test_division_by_vanishing_series(self):
         with pytest.raises(DegenerateSeries):
-            series_expr(parse_expr("1/A"), 4)
+            eval_expr(parse_expr("1/A"), identity(4))
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

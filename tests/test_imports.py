@@ -99,6 +99,21 @@ def test_dead_code_detector():
     assert unreferenced_private_defs(sources) == ["_Dead (a.py:5)", "_recursive (a.py:3)"]
 
 
+def test_all_lists_exactly_the_public_imports():
+    # the unused-import rule skips __init__.py, so a public name removed
+    # from a module but not from the package namespace is caught here
+    import lagrev
+
+    assert [name for name in lagrev.__all__ if not hasattr(lagrev, name)] == []
+    imported = {
+        alias.asname or alias.name
+        for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    assert sorted(n for n in imported if not n.startswith("_") and n not in lagrev.__all__) == []
+
+
 # The modules that may name the quadrature oracle: its home, the real
 # analog's thm19 oracle, the verify harness, the CLI and the package
 # namespace.  A closed form that names it has started integrating again.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -22,6 +23,8 @@ from .errors import (
 )
 
 _TWO_PI_I = 2j * math.pi
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+_PHI_NORM = math.sqrt(1.0 + _PHI * _PHI)
 
 
 @dataclass(frozen=True)
@@ -47,10 +50,8 @@ class Nome:
 
 
 def _as_z(z) -> complex:
-    if isinstance(z, UpperHalfPoint):
-        return z.z
-    z = complex(z)
-    if not z.imag > 0:
+    z = z.z if isinstance(z, UpperHalfPoint) else complex(z)
+    if not (z.imag > 0 and math.isfinite(z.real)):
         raise DomainError("expected a point of the upper half plane")
     return z
 
@@ -64,72 +65,146 @@ def e_map(z) -> Nome:
     return Nome(cmath.exp(_TWO_PI_I * _as_z(z)))
 
 
-def _qpow(q: complex, a: float) -> complex:
-    """Principal power q**a with q**a = 0 at q = 0 for a > 0."""
+def _reduce(tau: complex) -> tuple[complex, list]:
+    """tau moved into the fundamental domain, |Re tau| <= 1/2 and |tau| >= 1,
+    with the steps that moved it (Johansson, arXiv:1806.06725, section 4).
+    Each round takes T^-k, tau -> tau - k with k = round(Re tau), which is
+    exact, then S, tau -> s = -1/tau, while |tau| < 1; steps holds (k, s)
+    per round, s None on the last.  The loop stops 1e-9 short of |tau| = 1,
+    so that every S raises Im tau by a factor above 1 + 2e-9, far above
+    rounding, and the loop ends; at the reduced tau, Im tau > 0.86.
+    """
+    steps = []
+    while True:
+        k = round(tau.real)
+        tau -= k
+        if abs(tau) >= 1 - 1e-9:
+            steps.append((k, None))
+            return tau, steps
+        tau = -1 / tau
+        steps.append((k, tau))
+
+
+def _thetas(tau: complex) -> tuple[complex, complex, complex]:
+    """(theta2, theta3, theta4) at tau, theta2 = sum_n e^{i pi tau (n+1/2)^2}.
+
+    Three terms of each sum at the reduced tau, where |e^{i pi tau}| < 0.066
+    and the first term left out is below 3e-19, folded back along the
+    steps of _reduce: T^k multiplies theta2 by e^{i pi k/4} and swaps
+    theta3 and theta4 when k is odd; S gives (theta2, theta3, theta4)(tau)
+    = sqrt(-i s) (theta4, theta3, theta2)(s) at s = -1/tau.
+    """
+    tau, steps = _reduce(tau)
+    q = cmath.exp(1j * math.pi * tau)
+    t2 = t3 = t4 = 1.0 + 0j
+    for n in (1, 2, 3):
+        power = q ** (n * n)
+        t2 += power * q**n
+        t3 += 2 * power
+        t4 += 2 * (-1) ** n * power
+    t2 *= 2 * cmath.exp(1j * math.pi / 4 * tau)
+    scale = 1.0 + 0j
+    for k, s in reversed(steps):
+        if s is not None:
+            t2, t4 = t4, t2
+            scale *= cmath.sqrt(-1j * s)
+        t2 *= cmath.exp(1j * math.pi * (k % 8) / 4)
+        if k % 2:
+            t3, t4 = t4, t3
+    return scale * t2, scale * t3, scale * t4
+
+
+def _nome_thetas(q) -> tuple[complex, complex, complex]:
+    """(theta2, theta3, theta4) at the nome q = e^{i pi tau}, tau = log q/(i pi)
+    principal (Re tau in (-1, 1]); DomainError unless |q| < 1."""
+    q = _as_q(q)
     if q == 0:
-        return 0j
-    return cmath.exp(a * cmath.log(q))
+        return 0j, 1.0 + 0j, 1.0 + 0j
+    if not abs(q) < 1:
+        raise DomainError("theta functions require |q| < 1")
+    return _thetas(cmath.log(q) / (1j * math.pi))
 
 
 def theta2(q) -> complex:
-    """Sum over all integers n of q^{(n+1/2)^2}."""
-    return _theta_sum("theta2", _as_q(q), 0j, 0, 0.5)
+    """Sum over all integers n of q^{(n+1/2)^2}, q^{1/4} principal.
+
+    q = e^{i pi tau}, tau = log q/(i pi) principal; evaluated by modular
+    reduction of tau (_thetas), so in bounded time for every |q| < 1.
+    DomainError unless |q| < 1.
+    """
+    return _nome_thetas(q)[0]
 
 
 def theta3(q) -> complex:
-    """Sum over all integers n of q^{n^2}."""
-    return _theta_sum("theta3", _as_q(q), 1.0 + 0j, 1, 0)
+    """Sum over all integers n of q^{n^2}.
 
-
-def _theta_sum(name: str, q: complex, total: complex, first: int, shift: float) -> complex:
-    """total + 2 sum_{n >= first} q^{(n+shift)^2}, up to n = 2000."""
-    if q == 0:
-        return total
-    log_q = cmath.log(q)
-    for n in range(first, 2001):
-        k = n + shift
-        term = 2 * cmath.exp(k * k * log_q)
-        total += term
-        if abs(term) < 1e-17 * max(1.0, abs(total)):
-            return total
-    raise NoConvergence(
-        f"{name} sum did not converge after {n + 1} terms at |q| = {abs(q):.17g}; "
-        f"last |term| = {abs(term):.3e}"
-    )
+    q = e^{i pi tau}, tau = log q/(i pi) principal, reduced as in theta2;
+    theta3(-q) is theta4(q) to full relative accuracy (theta3(-0.99) =
+    8.459e-106).  Below about q = -0.9967 that value leaves the float range
+    and rounds to 0.0, within the rounding of the alternating sum, whose
+    terms add up to theta3(|q|).  DomainError unless |q| < 1.
+    """
+    return _nome_thetas(q)[1]
 
 
 def mstar(z) -> complex:
     """Elliptic singular modulus (theta2/theta3)^2 at the nome e^{i pi z}.
 
-    Note the half-nome convention: e^{i pi z}, not e^{2 pi i z}.
+    Note the half-nome convention: e^{i pi z}, not e^{2 pi i z}; the
+    principal nome puts Re z in [-1, 1] (k changes sign under z -> z + 2).
+    One modular reduction gives both thetas (_thetas).
     """
     z = _as_z(z)
-    q = cmath.exp(1j * math.pi * z)
-    return (theta2(q) / theta3(q)) ** 2
+    t2, t3, _ = _thetas(z - 2 * round(z.real / 2))
+    return (t2 / t3) ** 2
 
 
 def k_r(r: float) -> float:
-    """Singular modulus k_r at the real nome e^{-pi sqrt(r)}."""
+    """Singular modulus k_r at the real nome e^{-pi sqrt(r)}: (theta2/theta3)^2
+    at tau = i sqrt(r), from one modular reduction (_thetas), which maps
+    r < 1 to 1/r."""
     if not r > 0:
         raise DomainError("k_r requires r > 0")
-    q = math.exp(-math.pi * math.sqrt(r))
-    return ((theta2(q) / theta3(q)) ** 2).real
+    t2, t3, _ = _thetas(complex(0.0, math.sqrt(r)))
+    return ((t2 / t3) ** 2).real
+
+
+_ETA_CHI = (1, 1, 1, 1, 1)
+_RR_CHI = (0, 1, -1, -1, 1)
+_LOG_TINY = math.log(sys.float_info.min)  # below this |value| is not a normal double
+
+
+def _product(q: complex, chi: tuple) -> complex:
+    """prod_{n >= 1} (1 - q^n)^chi[n mod 5] at a reduced nome e^{2 pi i tau},
+    |q| < 0.0044, where the first factor left out, n = 8, differs from 1 by
+    under 2e-19."""
+    total, power = 1.0 + 0j, 1.0 + 0j
+    for n in range(1, 8):
+        power *= q
+        total *= (1 - power) ** chi[n % 5]
+    return total
 
 
 def eta(z) -> complex:
-    """Dedekind eta q^{1/24} prod (1-q^n), q = e(z); q^{1/24} is taken
-    as exp(2 pi i z / 24), which needs no branch choice."""
-    z = _as_z(z)
-    q = cmath.exp(_TWO_PI_I * z)
-    aq = abs(q)
-    prod = 1.0 + 0j
-    qn = 1.0 + 0j
-    n = 0
-    while aq ** (n + 1) >= 1e-18:
-        n += 1
-        qn *= q
-        prod *= 1 - qn
-    return cmath.exp(_TWO_PI_I * z / 24) * prod
+    """Dedekind eta e^{i pi z/12} prod (1-q^n), q = e(z) = e^{2 pi i z}.
+
+    z is reduced into the fundamental domain (_reduce) and the multiplier
+    kept as a logarithm: T^k contributes i pi k/12 (k counted mod 24), S
+    at tau contributes log sqrt(-i s), s = -1/tau (eta(tau) = sqrt(-i s)
+    eta(s)); the short product (_product) is taken at the reduced point.
+    Near a real cusp |eta| falls below the float range (|eta(1e-4 i)| is
+    about e^{-2613}): DomainError naming the exponent.
+    """
+    tau, steps = _reduce(_as_z(z))
+    log_eta = 1j * math.pi / 12 * tau + cmath.log(_product(cmath.exp(_TWO_PI_I * tau), _ETA_CHI))
+    turns = 0
+    for k, s in steps:
+        turns += k
+        if s is not None:
+            log_eta += 0.5 * cmath.log(-1j * s)
+    if log_eta.real < _LOG_TINY:
+        raise DomainError(f"|eta({z})| = exp({log_eta.real:.6g}) is below the float range")
+    return cmath.exp(log_eta + 1j * math.pi * (turns % 24) / 12)
 
 
 # Lanczos approximation, g = 7, 9 terms; used for complex arguments.
@@ -487,22 +562,38 @@ def _lambert_seed(x: complex, branch: int) -> complex:
 
 def rogers_ramanujan(q) -> complex:
     """R(q) = q^{1/5} prod (1-q^n)^{chi(n)}, chi = +1 for n = +-1 (mod 5),
-    -1 for n = +-2 (mod 5), 0 otherwise."""
+    -1 for n = +-2 (mod 5), 0 otherwise; q^{1/5} principal.
+
+    q = e^{2 pi i tau}, tau = log q/(2 pi i) principal (Re tau in (-1/2, 1/2]),
+    reduced into the fundamental domain (_reduce), the short product
+    (_product) taken there and folded back as one Moebius map: T^k
+    multiplies R by e^{2 pi i k/5}, S gives R(tau) = (1 - phi R(s))/(phi +
+    R(s)) at s = -1/tau.  Bounded time for every |q| < 1; DomainError
+    unless |q| < 1, or where |R| exceeds the float range (near a cusp
+    where R has a pole).
+    """
     q = _as_q(q)
-    if abs(q) >= 1:
+    if not abs(q) < 1:
         raise DomainError("Rogers-Ramanujan product requires |q| < 1")
     if q == 0:
         return 0j
-    aq = abs(q)
-    prod = 1.0 + 0j
-    qn = 1.0 + 0j
-    n = 0
-    while aq ** (n + 1) >= 1e-18:
-        n += 1
-        qn *= q
-        r5 = n % 5
-        if r5 in (1, 4):
-            prod *= 1 - qn
-        elif r5 in (2, 3):
-            prod /= 1 - qn
-    return _qpow(q, 0.2) * prod
+    tau, steps = _reduce(cmath.log(q) / _TWO_PI_I)
+    value = cmath.exp(_TWO_PI_I / 5 * tau) * _product(cmath.exp(_TWO_PI_I * tau), _RR_CHI)
+    # The map (a v + b)/(c v + d) composes T^k = diag(e^{2 pi i k/5}, 1) and
+    # S = [[-phi, 1], [1, phi]] / sqrt(1 + phi^2).  Their products are the
+    # 60 rotations of the icosahedron, unitary, with entries of modulus 0,
+    # 0.526, 0.851 or 1.  So an entry below 0.25 is a rounded zero, and it
+    # must be exact where R nears 0 or a pole, or relative accuracy is lost.
+    a, b, c, d = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    for k, s in steps:
+        turn = cmath.exp(_TWO_PI_I * (k % 5) / 5)
+        a, c = a * turn, c * turn
+        if s is not None:
+            a, b = (b - _PHI * a) / _PHI_NORM, (a + _PHI * b) / _PHI_NORM
+            c, d = (d - _PHI * c) / _PHI_NORM, (c + _PHI * d) / _PHI_NORM
+    a, b, c, d = (x if abs(x) > 0.25 else 0j for x in (a, b, c, d))
+    denominator = c * value + d
+    result = (a * value + b) / denominator if denominator else math.inf
+    if not cmath.isfinite(result):
+        raise DomainError(f"|R({q})| exceeds the float range")
+    return result

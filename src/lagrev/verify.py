@@ -183,7 +183,12 @@ def _check_singular_modulus() -> _Outcome:
     err = max(err, abs(k_r(4.0) - (3.0 - 2.0 * math.sqrt(2.0))))
     for r in (2.0, 3.0):
         err = max(err, abs(k_r(r) ** 2 + k_r(1.0 / r) ** 2 - 1.0))
-    return _Outcome(err, 4, "singular values and the complementary-modulus relation")
+    return _Outcome(
+        err,
+        4,
+        "singular values and the complementary-modulus relation, which the "
+        "reduction of i/sqrt(r) to i sqrt(r) makes Jacobi's quartic identity",
+    )
 
 
 def _check_eta_anchor() -> _Outcome:
@@ -191,6 +196,51 @@ def _check_eta_anchor() -> _Outcome:
     err = abs(eta(1j) - g14 / (2.0 * math.pi**0.75))
     err = max(err, abs(eta(2j) - g14 / (2.0 ** (11.0 / 8.0) * math.pi**0.75)))
     return _Outcome(err, 2, "eta at i and 2i against gamma closed forms")
+
+
+# |q| = 0.9 at four angles, off Re tau in {0, 1/2}: each reduction takes
+# S steps and T steps with k != 0, and every theta value there is at least
+# a fifth of theta3(|q|), the sum of its terms' moduli, so the direct sums
+# are good to about 1e-15 relative
+_NOME_POINTS = tuple(0.9 * cmath.exp(1j * math.radians(d)) for d in (55, -75, 105, -125))
+
+
+def _theta_direct(q: complex, shift: float) -> complex:
+    """sum over |n| <= 40 of q^{(n+shift)^2}, principal powers; the terms
+    left out are below 1e-70 at |q| = 0.9."""
+    log_q = cmath.log(q)
+    return sum(cmath.exp((n + shift) ** 2 * log_q) for n in range(-40, 41))
+
+
+def _product_direct(q: complex, chi: tuple) -> complex:
+    """prod over 1 <= n <= 400 of (1 - q^n)^chi[n mod 5]; the factors left
+    out differ from 1 by under 1e-18 at |q| = 0.9."""
+    total, power = 1.0 + 0j, 1.0 + 0j
+    for n in range(1, 401):
+        power *= q
+        total *= (1 - power) ** chi[n % 5]
+    return total
+
+
+def _check_nome_reduction() -> _Outcome:
+    err = 0.0
+    for q in _NOME_POINTS:
+        z = cmath.log(q) / _TWO_PI_I  # e(z) = q
+        pairs = (
+            (theta2(q), _theta_direct(q, 0.5)),
+            (theta3(q), _theta_direct(q, 0.0)),
+            (theta3(-q), _theta_direct(-q, 0.0)),
+            (eta(z), cmath.exp(_TWO_PI_I * z / 24) * _product_direct(q, (1, 1, 1, 1, 1))),
+            (rogers_ramanujan(q), q ** 0.2 * _product_direct(q, (0, 1, -1, -1, 1))),
+        )
+        for value, direct in pairs:
+            err = max(err, abs(value - direct) / abs(direct))
+    return _Outcome(
+        err,
+        5 * len(_NOME_POINTS),
+        "theta2, theta3, theta4, eta and R by modular reduction against the "
+        "direct sums and products at |q| = 0.9 (relative error)",
+    )
 
 
 def _check_gamma_classics() -> _Outcome:
@@ -653,6 +703,7 @@ _REGISTRY: list[tuple[str, str, Optional[float], Callable[[], _Outcome]]] = [
     ("theta_anchor", "A", None, _check_theta_anchor),
     ("singular_modulus", "A", None, _check_singular_modulus),
     ("eta_anchor", "A", None, _check_eta_anchor),
+    ("nome_reduction", "A", 1e-12, _check_nome_reduction),
     ("gamma_classics", "A", None, _check_gamma_classics),
     ("incomplete_beta_complete", "A", 1e-8, _check_incomplete_beta_complete),
     ("hyp2f1_identities", "A", None, _check_hyp2f1_identities),

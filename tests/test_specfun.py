@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,135 @@ class TestEta:
     def test_value_at_2i(self):
         closed = sf.gamma_fn(0.25).real / (2 ** (11 / 8) * math.pi**0.75)
         assert abs(sf.eta(2j) - closed) < 1e-12
+
+
+PHI = (1 + math.sqrt(5)) / 2
+
+
+def _drift(f, t: complex) -> float:
+    """How far f(t) moves when t moves by 1e-15 (1 + |t|), a few ulps: a
+    central difference of f.  Arguments computed in floats (tau + 1, -1/tau,
+    or the tau a nome stands for) carry such a rounding, which f magnifies
+    near a cusp beyond any fixed relative tolerance."""
+    h = 1e-9
+    return 1e-15 * (1 + abs(t)) * abs(f(t + h) - f(t - h)) / (2 * h)
+
+
+def _rr_tau(t: complex) -> complex:
+    """R as a function of tau: rogers_ramanujan takes tau principal, so the
+    shift k it drops comes back as e^{2 pi i k/5}; 0 where q underflows."""
+    q = cmath.exp(2j * math.pi * t)
+    if q == 0:
+        return 0j
+    k = round(t.real - (cmath.log(q) / (2j * math.pi)).real)
+    return cmath.exp(2j * math.pi * k / 5) * sf.rogers_ramanujan(q)
+
+
+def _theta(j: int):
+    """theta_j as a function of tau, through the nome q = e^{i pi tau}."""
+    f = {2: sf.theta2, 3: sf.theta3, 4: lambda q: sf.theta3(-q)}[j]
+    return lambda t: f(cmath.exp(1j * math.pi * t))
+
+
+_TAU = st.builds(
+    complex, st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=1e-3, max_value=3.0)
+)
+
+
+class TestModularReduction:
+    """The transformation laws hold to 1e-12 relative, plus the rounding of
+    the transformed argument times each side's slope there (_drift)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_TAU)
+    def test_eta_translation(self, t):
+        lhs = lambda x: sf.eta(x + 1)  # noqa: E731
+        rhs = lambda x: cmath.exp(1j * math.pi / 12) * sf.eta(x)  # noqa: E731
+        allowed = 1e-12 * abs(rhs(t)) + _drift(lhs, t) + _drift(rhs, t)
+        assert abs(lhs(t) - rhs(t)) <= allowed
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_TAU)
+    def test_eta_inversion(self, t):
+        lhs = lambda x: sf.eta(-1 / x)  # noqa: E731
+        rhs = lambda x: cmath.sqrt(-1j * x) * sf.eta(x)  # noqa: E731
+        allowed = 1e-12 * abs(rhs(t)) + _drift(lhs, t) + _drift(rhs, t)
+        assert abs(lhs(t) - rhs(t)) <= allowed
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_TAU)
+    def test_jacobi_quartic(self, t):
+        # theta4 = theta3(-q) takes its own reduction, from tau + 1
+        thetas = [_theta(j) for j in (2, 3, 4)]
+        t2, t3, t4 = values = [f(t) for f in thetas]
+        allowed = 1e-12 * sum(abs(v) ** 4 for v in values)
+        allowed += sum(4 * abs(v) ** 3 * _drift(f, t) for f, v in zip(thetas, values))
+        assert abs(t3**4 - t2**4 - t4**4) <= allowed
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_TAU)
+    def test_rogers_ramanujan_inversion(self, t):
+        # R(-1/tau) = (1 - phi R)/(phi + R) as (phi + R(tau))(phi + R(-1/tau))
+        # = 1 + phi^2, which does not cancel where R(-1/tau) is near 0
+        inverted = lambda x: _rr_tau(-1 / x)  # noqa: E731
+        a, b = _rr_tau(t), inverted(t)
+        allowed = 1e-12 * (PHI + abs(a)) * (PHI + abs(b))
+        allowed += (PHI + abs(b)) * _drift(_rr_tau, t) + (PHI + abs(a)) * _drift(inverted, t)
+        assert abs((PHI + a) * (PHI + b) - (1 + PHI**2)) <= allowed
+
+    def test_theta4_at_full_relative_accuracy(self):
+        # theta4(0.99) at the double -0.99, from the modular identity at 60
+        # digits (mpmath jtheta(4, 0, 0.99) needs some 400); the direct sum
+        # returned 8.4e-15i
+        assert abs(sf.theta3(-0.99) - 8.45927634161969e-106) <= 1e-13 * 8.45927634161969e-106
+
+    def test_theta3_returns_near_one(self):
+        # the direct sum raised NoConvergence at its 2000-term cap
+        q = 1 - 1e-6
+        expected = math.sqrt(math.pi / -math.log(q))  # to within e^{-pi^2 1e6}
+        assert abs(sf.theta3(q) - expected) <= 1e-13 * expected
+
+    def test_rogers_ramanujan_near_a_pole_keeps_relative_accuracy(self):
+        # |R| = 1.9e7 near the cusp 2/5; mpmath, Jacobi triple product at 120
+        # digits.  Folding the Moebius steps in floats left 4e-9 relative.
+        q = cmath.exp(2j * math.pi * complex(0.4, 0.003))
+        expected = 18760126.922088808747 + 2369955.1736346648241j
+        assert abs(sf.rogers_ramanujan(q) - expected) <= 1e-12 * abs(expected)
+
+    def test_rogers_ramanujan_beyond_the_float_range_raises(self):
+        # |R| = 2e218 at 0.4 + 1e-4 i and overflows at 0.4 + 5e-5 i
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            sf.rogers_ramanujan(cmath.exp(2j * math.pi * complex(0.4, 5e-5)))
+
+    @pytest.mark.parametrize("z", [1e-4j, 0.3 + 1e-6j])
+    def test_eta_below_the_float_range_names_its_exponent(self, z):
+        # |eta(1e-4 i)| = 100 e^{-2618}; next to the cusp 3/10, |eta(0.3 + 1e-6 i)|
+        # is about e^{-2612}
+        with pytest.raises(DomainError, match=r"= exp\(-26\d\d\.?\d*\) is below the float range"):
+            sf.eta(z)
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 1), complex(math.inf, 1)])
+    def test_non_finite_point_is_a_domain_error(self, z):
+        # the reduction rounds Re z, which would raise an untyped error
+        with pytest.raises(DomainError, match="upper half plane"):
+            sf.eta(z)
+
+    @pytest.mark.parametrize(
+        "fn, arg",
+        [
+            (sf.rogers_ramanujan, 1 - 1e-6),  # 15.5 s by the direct product
+            (sf.theta3, 1 - 1e-9),
+            (sf.eta, 0.3 + 1e-6j),  # raises DomainError, as above
+            (sf.k_r, 1e-8),
+        ],
+    )
+    def test_bounded_time_at_the_edge(self, fn, arg):
+        start = time.perf_counter()
+        try:
+            fn(arg)
+        except DomainError:
+            assert fn is sf.eta
+        assert time.perf_counter() - start < 0.05
 
 
 class TestGamma:

@@ -181,3 +181,13 @@ def test_hyp2f1_identities_fail_on_scaled_connection_coefficients(monkeypatch):
     # every 1 - z connection coefficient carries two reciprocal gammas
     monkeypatch.setattr(specfun, "_rgamma", lambda x: rgamma(x) * (1 + 1e-9))
     assert _statuses(run_suite("classical"))["hyp2f1_identities"] == "fail"
+
+
+@pytest.mark.parametrize("name", ["theta3", "eta", "rogers_ramanujan"])
+def test_nome_reduction_fails_on_a_scaled_nome_function(monkeypatch, name):
+    import lagrev.verify as verify
+
+    assert _statuses(run_suite("classical"))["nome_reduction"] == "pass"
+    fn = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: fn(*args) * (1 + 1e-9))
+    assert _statuses(run_suite("classical"))["nome_reduction"] == "fail"

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
 from fractions import Fraction
 from typing import Optional
 
-from .errors import LagrevError, ParseError
+from .errors import BranchError, LagrevError, ParseError
 from .expr import eval_expr, parse_expr
 from .inversion import (
     F1_forward,
@@ -34,6 +35,7 @@ from .quadint import (
     closed_integral_thm13_1,
     closed_integral_thm18,
     f1_integrand,
+    omega,
 )
 from .quadrature import quad_oracle
 from .realanalog import (
@@ -104,7 +106,7 @@ def _singular_distance_form(q: QuadraticPowerIntegral, t0: complex, span: comple
     slope = 2.0 * q.a1 * t0 + q.b1
 
     def fn(d: float) -> complex:
-        return (span * d * (slope + q.a1 * span * d)) ** (-float(q.m))
+        return (span * d * (slope + q.a1 * span * d)) ** (-q.mf)
 
     return fn
 
@@ -158,6 +160,25 @@ def _cmd_f1(args) -> int:
     return 0
 
 
+def _continued_log(f, u1: complex, u: complex) -> complex:
+    """log f(u), continued from its principal value at u1 along the segment
+    to u.  Steps start at 2^-10 of it, so that the first turn of arg f does
+    not alias by 2 pi, double after each step and halve while arg f turns
+    by more than pi/4.  BranchError at a zero of f or a step below 2^-60."""
+    t, h, prev = 0.0, 2.0**-10, f(u1)
+    value = cmath.log(prev) if prev else 0j
+    while t < 1:
+        s = min(t + h, 1.0)
+        if not prev or h < 2.0**-60 or s == t:
+            raise BranchError(f"log f does not continue past {u1 + t * (u - u1)}")
+        now = f(u1 + s * (u - u1))
+        if now and abs(cmath.phase(now / prev)) <= math.pi / 4:
+            value, t, h, prev = value + cmath.log(now / prev), s, 2 * h, now
+        else:
+            h /= 2
+    return value
+
+
 def _cmd_integral(args) -> int:
     q = _quadratic(args)
     payload = {}
@@ -167,9 +188,9 @@ def _cmd_integral(args) -> int:
         tree = parse_expr(args.f1)
         z1 = 1j * math.sqrt(args.r1)
         z2 = 1j * math.sqrt(args.r2)
-        value = closed_integral_thm13_1(
-            q, args.c, z1, z2, log_f=lambda u: cmath.log(eval_expr(tree, u))
-        )
+        u1 = args.c - 2j * math.pi * omega(q, z1)
+        log_f = functools.partial(_continued_log, lambda u: eval_expr(tree, u), u1)
+        value = closed_integral_thm13_1(q, args.c, z1, z2, log_f=log_f)
     payload["value_re"] = value.real
     payload["value_im"] = value.imag
     if args.oracle:
@@ -178,10 +199,10 @@ def _cmd_integral(args) -> int:
         span = a2 - a1
         kwargs = {}
         if math.isinf(args.r1):
-            kwargs["sing_left"] = float(q.m)
+            kwargs["sing_left"] = q.mf
             kwargs["from_left"] = _singular_distance_form(q, a1, span)
         if math.isinf(args.r2):
-            kwargs["sing_right"] = float(q.m)
+            kwargs["sing_right"] = q.mf
             kwargs["from_right"] = _singular_distance_form(q, a2, -span)
         if args.f1 is None:
             integrand = q.evaluate
@@ -248,6 +269,7 @@ def _cmd_verify(args) -> int:
     return 2 if "A" in failed_tiers else 3 if "B" in failed_tiers else 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lagrev")
     sub = parser.add_subparsers(dest="command", required=True)

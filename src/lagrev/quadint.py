@@ -15,6 +15,7 @@ a1 > 0 > c1 gives the same branch for either sign of b1.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -61,11 +62,15 @@ class QuadraticPowerIntegral:
         if self.D1 == 0:
             raise DomainError("the quadratic must have distinct roots (D1 != 0)")
 
-    @property
+    @functools.cached_property
+    def mf(self) -> float:
+        return float(self.m)
+
+    @functools.cached_property
     def D1(self) -> complex:
         return self.b1 * self.b1 - 4.0 * self.a1 * self.c1
 
-    @property
+    @functools.cached_property
     def sqrt_D1(self) -> complex:
         return cmath.sqrt(self.D1)
 
@@ -73,22 +78,21 @@ class QuadraticPowerIntegral:
     def rho1(self) -> complex:
         return (self.b1 - self.sqrt_D1) / (2.0 * self.a1)
 
-    @property
+    @functools.cached_property
     def prefactor(self) -> complex:
         """Phase-calibrated prefactor: with it, dU/dx = (quadratic)^(-m)."""
         ratio = -self.a1 / self.D1
         if ratio.imag == 0:
             ratio = complex(ratio.real, -0.0)
-        return -(ratio ** float(self.m)) * self.sqrt_D1 / self.a1
+        return -(ratio**self.mf) * self.sqrt_D1 / self.a1
 
     @property
     def prefactor_literal(self) -> complex:
         """(-1)^(m+1) a1^(m-1) D1^(1/2-m), every power principal."""
-        mf = float(self.m)
         return (
-            cmath.exp(1j * math.pi * (mf + 1.0))
-            * self.a1 ** (mf - 1.0)
-            * self.D1 ** (0.5 - mf)
+            cmath.exp(1j * math.pi * (self.mf + 1.0))
+            * self.a1 ** (self.mf - 1.0)
+            * self.D1 ** (0.5 - self.mf)
         )
 
     @property
@@ -104,7 +108,7 @@ class QuadraticPowerIntegral:
     def evaluate(self, t: complex) -> complex:
         """The integrand (a1 t^2 + b1 t + c1)^(-m), principal power."""
         quad = (self.a1 * t + self.b1) * t + self.c1
-        return quad ** (-float(self.m))
+        return quad ** (-self.mf)
 
 
 @dataclass(frozen=True)

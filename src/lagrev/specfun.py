@@ -285,7 +285,7 @@ def _maclaurin(a: float, b: float, c: float, x: complex) -> tuple[complex, float
         total += term
         modulus = abs(term)
         size += modulus
-        if modulus < 1e-17 * abs(total):
+        if modulus <= 1e-17 * abs(total):  # <=: a terminating sum may be 0
             return total, size
     raise NoConvergence(
         f"2F1 series stalled after {n + 1} terms at |x| = {abs(x):.17g}; "
@@ -476,42 +476,74 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: complex, y: complex) 
     functions:
     F1 = sum_r t_r (xy)^r 2F1(a+r, b1+r; c+2r; x) 2F1(a+r, b2+r; c+2r; y),
     t_r = (a)_r (b1)_r (b2)_r (c-a)_r / ((c+r-1)_r (c)_2r r!).
-    Cost: two Gauss factors per r, from `hyp2f1` at r = 0 and from _gauss
-    after; `hyp2f1` recomputes a pair unless its rounding
-    |coeff| (size_x |F_y| + size_y |F_x|) is at most _ROUNDING_BOUND |total|
-    (so also where a size is inf).  For F1_inverse's parameters the sum
-    ends at r = 41 at x = y = 0.97 (2-4 ms) and at r = 68 at 0.99; past
-    r = 85 Gamma(c+2r) overflows and every pair comes from `hyp2f1`'s
-    Maclaurin sum (4.9 s at x = y = 0.999).  It stops at the first zero coefficient (with x
-    or y 0, the r = 0 term alone).  The first `hyp2f1` call raises
-    DomainError at a non-positive integer c; NoConvergence at _MAX_TERMS
-    terms.
+    The factors come from one backward recurrence in r (_gauss_factors;
+    Gautschi, SIAM Review 9, 1967) run down from a depth n that puts the
+    terms, which fall like (lam(x) lam(y))^r, and the start's error,
+    lam^2(n-r), below 1e-17, lam(z) = |(1 - sqrt(1-z))/(1 + sqrt(1-z))|;
+    n doubles if the sum runs on.  The sum stops at a zero coefficient or
+    after two terms in a row below 1e-17 of it (a factor may vanish at one
+    r).  Cost: O(1/sqrt(1 - |z|)) steps (620 at x = y = 0.999).  `hyp2f1`
+    gives the r = 0 factors (one call when (b1, x) = (b2, y)), the r = 1
+    factor where the pass cancels there, and the value alone on an axis.
+    DomainError at a non-positive integer c; NoConvergence where n would
+    pass _MAX_TERMS.
     """
     x, y = complex(x), complex(y)
-    if abs(x) >= 1 or abs(y) >= 1:
+    if not (abs(x) < 1 and abs(y) < 1):  # NaN too
         raise ConvergenceDomain("Appell F1 series requires |x| < 1 and |y| < 1")
-    coeff, total = 1.0 + 0j, 0j  # coeff = t_r (xy)^r
-    for r in range(_MAX_TERMS):
-        args_x, args_y = (a + r, b1 + r, c + 2 * r, x), (a + r, b2 + r, c + 2 * r, y)
-        if r:
-            (fx, size_x), (fy, size_y) = _gauss(*args_x), _gauss(*args_y)
-        bound = _ROUNDING_BOUND * abs(total)
-        if not r or not abs(coeff) * (size_x * abs(fy) + size_y * abs(fx)) <= bound:
-            fx, fy = hyp2f1(*args_x), hyp2f1(*args_y)
-        term = coeff * fx * fy
-        total += term
-        if abs(term) < 1e-17 * abs(total):  # never at r = 0, where term = total
-            return total
-        # t_{r+1} / t_r; the factor (c+r-1)/(c+2r-1) is 1 at r = 0
-        shift = (c + r - 1) / (c + 2 * r - 1) if r else 1.0
-        coeff *= (a + r) * (b1 + r) * (b2 + r) * (c - a + r) * shift * x * y
-        coeff /= (r + 1) * (c + 2 * r) ** 2 * (c + 2 * r + 1)
-        if coeff == 0:
-            return total
+    if not (x and y):
+        return hyp2f1(a, b2, c, y) if y else hyp2f1(a, b1, c, x)
+    # log lam(z), lam(z) written as |z/(1 + sqrt(1-z))^2| without the cancellation
+    log_x, log_y = (math.log(abs(z / (1 + cmath.sqrt(1 - z)) ** 2) or 1e-300) for z in (x, y))
+    log_tol = math.log(1e-17)
+    n = 2 + int(log_tol / (log_x + log_y) + log_tol / (2 * max(log_x, log_y)))
+    while n <= _MAX_TERMS:
+        fx = _gauss_factors(a, b1, c, x, n)
+        fy = fx if (b1, x) == (b2, y) else _gauss_factors(a, b2, c, y, n)
+        term = total = fx[0] * fy[0]
+        for r in range(n):
+            # t_{r+1} / t_r; the factor (c+r-1)/(c+2r-1) is 1 at r = 0
+            shift = (c + r - 1) / (c + 2 * r - 1) if r else 1.0
+            step = (a + r) * (b1 + r) * (b2 + r) * (c - a + r) * shift * x * y
+            step /= (r + 1) * (c + 2 * r) ** 2 * (c + 2 * r + 1)
+            if step == 0:
+                return total
+            last = term
+            term = step * fx[1] * fy[1] if r == 0 else term * step * fx[r + 1] * fy[r + 1]
+            total += term
+            if max(abs(last), abs(term)) < 1e-17 * abs(total):
+                return total
+        n *= 2
     raise NoConvergence(
-        f"Appell F1 expansion stalled at r = {r} at |x| = {abs(x):.17g}, "
-        f"|y| = {abs(y):.17g}; last |term| = {abs(term):.3e}"
+        f"Appell F1 expansion needs over {_MAX_TERMS} terms at |x| = {abs(x):.17g}, "
+        f"|y| = {abs(y):.17g}"
     )
+
+
+def _gauss_factors(a: float, b: float, c: float, z: complex, n: int) -> list:
+    """[G_0, G_1, G_2/G_1, ..., G_n/G_{n-1}] for G_r = 2F1(a+r, b+r; c+2r; z).
+    With (a, b, c) read as (a+r, b+r, c+2r), rho_r = G_r/G_{r-1} is
+    c(c-1) / (abz + c(c-a-1)(c-b-1)z/(c-2) + c(c-1)(1-z) - d rho_{r+1}),
+    d = (c-a)(c-b) ab z^2 / ((c+1)c), by DLMF 15.5 cleared of denominators,
+    so that a zero of a, b, c-a or c-b leaves the step finite.  G_r is the
+    minimal solution off [1, inf): the pass runs down from rho_{n+1} = 0.
+    G_0 is `hyp2f1`, and so is G_1 where the step to it cancels by more
+    than _ROUNDING_BOUND (near a zero of G_0)."""
+    g0 = hyp2f1(a, b, c, z)
+    factors, rho, z2, w = [g0] * (n + 1), 0j, z * z, 1 - z
+    for r in range(n, 0, -1):
+        ar, br, cr = a + r, b + r, c + 2 * r
+        ca, cb, num = cr - ar, cr - br, cr * (cr - 1)
+        e1, e2, e3 = ar * br * z, cr * (ca - 1) * (cb - 1) * z / (cr - 2), num * w
+        d = ca * cb * ar * br * z2 / ((cr + 1) * cr) * rho
+        den = e1 + e2 + e3 - d
+        if r > 1:
+            rho = factors[r] = num / (den or 1e-300)
+        elif abs(den) * _ROUNDING_BOUND > abs(e1) + abs(e2) + abs(e3) + abs(d):
+            factors[1] = g0 * num / den
+        else:
+            factors[1] = hyp2f1(a + 1, b + 1, c + 2, z)
+    return factors
 
 
 _BRANCH_POINT = -1.0 / math.e

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -12,7 +13,8 @@ import pytest
 
 import lagrev
 from lagrev import verify
-from lagrev.cli import main
+from lagrev.cli import _continued_log, main
+from lagrev.errors import BranchError
 
 
 def run(capsys, *argv):
@@ -40,6 +42,23 @@ class TestRevert:
 
 
 class TestSpecial:
+    def test_successive_calls_share_no_arguments(self, capsys):
+        # the parser is built once per process; --arg appends to a copy of
+        # its default list
+        _, first, _ = run(
+            capsys, "special", "--fn", "hyp2f1", *("--arg", "0.5") * 3, "--arg", "0.25"
+        )
+        _, second, _ = run(capsys, "special", "--fn", "gamma", "--arg", "5")
+        code, third, _ = run(
+            capsys,
+            "integral", "--a1", "-1", "--b1", "0", "--c1", "1",
+            "--m", "1/2", "--r1", "inf", "--r2", "1",
+        )
+        # 2F1(a, b; b; z) = (1-z)^-a
+        assert float(first) == pytest.approx(0.75**-0.5, rel=1e-15)
+        assert float(second) == pytest.approx(24.0, rel=1e-12)
+        assert code == 0 and json.loads(third)["value_re"] == pytest.approx(math.pi / 2, abs=1e-10)
+
     def test_theta3(self, capsys):
         code, out, _ = run(capsys, "special", "--fn", "theta3", "--arg", "0.1")
         assert code == 0
@@ -103,21 +122,7 @@ class TestIntegral:
         assert payload["value_re"] == pytest.approx(math.pi / 2, abs=1e-10)
         assert payload["oracle_re"] is None
 
-    @pytest.mark.parametrize(
-        "f1",
-        [
-            "1+A",
-            "1+A^2",
-            pytest.param(
-                "exp(A)",
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="log_f is the principal log of f, which jumps by 2 pi i "
-                    "once |Im u| > pi (see closed_integral_thm13_1)",
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("f1", ["1+A", "1+A^2", "exp(A)"])
     def test_f1_oracle_meets_the_closed_form(self, capsys, f1):
         # the oracle's weight p0 = f'/f comes from a jet; a finite-difference
         # slope left ~1e-10 noise that stalled the adaptive quadrature
@@ -128,6 +133,20 @@ class TestIntegral:
         )
         assert code == 0
         assert json.loads(out)["abs_err"] < 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_log_continues_along_the_segment(self, k):
+        # Im(k u) runs over 2 pi k from u1 to u2, where the principal log
+        # of e^{k u} jumps
+        u1, u2 = 0.3 + 0.2j, -1.5 + 7.9j
+        f = lambda u: cmath.exp(k * u)  # noqa: E731
+        assert abs(_continued_log(f, u1, u2) - k * u2) < 1e-13 * abs(k * u2)
+        assert _continued_log(f, u1, u1) == cmath.log(f(u1))
+
+    @pytest.mark.parametrize("u1", [-1 - 1j, 0j])
+    def test_log_through_a_zero_is_a_branch_error(self, u1):
+        with pytest.raises(BranchError, match="does not continue past"):
+            _continued_log(lambda u: u, u1, 1 + 1j)
 
 
 class TestReal:

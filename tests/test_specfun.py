@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lagrev import specfun as sf
-from lagrev.errors import DomainError, NoConvergence
+from lagrev.errors import ConvergenceDomain, DomainError, NoConvergence
 from lagrev.quadint import beta_r
 from lagrev.quadrature import quad_oracle
 
@@ -333,6 +333,25 @@ class TestHypergeometric:
         assert abs(sf.appell_f1(a, b1, b2, c, x, x) - sf.hyp2f1(a, b1 + b2, c, x)) < 1e-13
 
 
+def _per_r_sum(a, b1, b2, c, x, y):
+    """F1 by the Burchnall-Chaundy expansion with every Gauss factor from
+    hyp2f1: the sum appell_f1 took before its factors came from one
+    recurrence."""
+    coeff, total = 1.0 + 0j, 0j
+    for r in range(2000):
+        fx, fy = sf.hyp2f1(a + r, b1 + r, c + 2 * r, x), sf.hyp2f1(a + r, b2 + r, c + 2 * r, y)
+        term = coeff * fx * fy
+        total += term
+        if r and abs(term) < 1e-17 * abs(total):
+            return total
+        shift = (c + r - 1) / (c + 2 * r - 1) if r else 1.0
+        coeff *= (a + r) * (b1 + r) * (b2 + r) * (c - a + r) * shift * x * y
+        coeff /= (r + 1) * (c + 2 * r) ** 2 * (c + 2 * r + 1)
+        if coeff == 0:
+            return total
+    raise AssertionError("the reference sum did not stop")
+
+
 class TestAppellF1:
     """The Burchnall-Chaundy expansion in products of Gauss functions."""
 
@@ -376,18 +395,29 @@ class TestAppellF1:
         with pytest.raises(DomainError, match="non-positive integer c"):
             sf.appell_f1(0.5, 0.5, 0.5, c, 0.3, 0.2)
 
-    def test_factors_past_the_gamma_range(self):
-        # the sum runs past r = 85, where Gamma(c + 2r) overflows in both
-        # 1 - z factors and each pair comes from hyp2f1's Maclaurin sum;
-        # on the diagonal F1 is 2F1(a, b1 + b2; c; x)
+    def test_factors_past_the_gamma_range(self, monkeypatch):
+        # the recurrence starts at n = 620 and the sum runs to r = 196, past
+        # r = 85, where Gamma(c + 2r) overflows; on the diagonal F1 is
+        # 2F1(a, b1 + b2; c; x)
+        steps = []
+
+        def counted(*args):
+            for i in range(*args):
+                steps.append(i)
+                yield i
+
+        monkeypatch.setattr(sf, "range", counted, raising=False)
         value = sf.appell_f1(1 / 6, 1 / 6, 1 / 6, 7 / 6, 0.999, 0.999)
         expected = sf.hyp2f1(1 / 6, 1 / 3, 7 / 6, 0.999)
-        assert abs(value - expected) < 1e-13 * abs(expected)
+        assert abs(value - expected) < 1e-15
         # mpmath hyp2f1 at 40 digits
         assert abs(expected - 1.1105970173860691) < 1e-15
+        # 620 steps down, 196 up and 12 in the hyp2f1 series
+        assert len(steps) < 1000
 
     def test_cost_is_a_short_sum_of_gauss_products(self, monkeypatch):
-        # two Gauss factors for each r = 0, ..., 41
+        # one hyp2f1 call for the shared factors at r = 0; the rest from the
+        # recurrence
         calls = []
         gauss = sf._gauss
 
@@ -397,7 +427,95 @@ class TestAppellF1:
 
         monkeypatch.setattr(sf, "_gauss", counted)
         sf.appell_f1(1 / 6, 1 / 6, 1 / 6, 7 / 6, 0.97, 0.97)
-        assert 0 < len(calls) <= 100
+        assert 0 < len(calls) <= 4
+
+    @pytest.mark.parametrize(
+        "a, b, c, z",
+        [
+            (1 / 6, 1 / 6, 7 / 6, 0.97),
+            (1.3, -0.7, 0.6, -0.95),
+            (0.25, 0.5, 1.5, -0.5 + 0.7j),
+            (-0.4, 2.5, 0.9, -0.3 - 0.9j),
+        ],
+    )
+    def test_recurrence_factors_against_hyp2f1(self, a, b, c, z):
+        # depth 100: at 0.97 the start's error lam^2(n-r) = 0.497^(n-r) is
+        # 1e-14 at r = 40
+        factors = sf._gauss_factors(a, b, c, z, 100)
+        value = factors[0]
+        for r in range(41):
+            value = factors[r] if r < 2 else value * factors[r]
+            expected = sf.hyp2f1(a + r, b + r, c + 2 * r, z)
+            assert abs(value - expected) <= 1e-13 * abs(expected)
+
+    def test_recurrence_where_hyp2f1_cancels(self):
+        # both representations of hyp2f1 cancel at 2F1(40.25, 40.5; 81.5;
+        # 0.6+0.7j), which it returns 4.5e-5 off; mpmath at 40 digits
+        factors = sf._gauss_factors(0.25, 0.5, 1.5, 0.6 + 0.7j, 100)
+        value = factors[1] * math.prod(factors[2:41])
+        expected = 573.06167974805644 + 932.14351863128331j
+        assert abs(value - expected) <= 1e-14 * abs(expected)
+
+    def test_sum_past_the_first_depth(self, monkeypatch):
+        # with large parameters the terms grow before they fall like
+        # (lam(x) lam(y))^r, so the sum runs past the first depth, 61, and
+        # the pass is redone from 122; mpmath hyp2f1(30, 60; 61; 0.9)
+        depths = []
+        factors = sf._gauss_factors
+
+        def recorded(a, b, c, z, n):
+            depths.append(n)
+            return factors(a, b, c, z, n)
+
+        monkeypatch.setattr(sf, "_gauss_factors", recorded)
+        value = sf.appell_f1(30.0, 30.0, 30.0, 61.0, 0.9, 0.9)
+        assert depths == [61, 122]
+        assert abs(value - 1.8640135107956633407e29) < 1e-13 * 1.8640135107956633407e29
+
+    @pytest.mark.parametrize("x", [float("nan"), complex(0.3, math.inf)])
+    def test_non_finite_point_is_outside_the_polydisc(self, x):
+        with pytest.raises(ConvergenceDomain):
+            sf.appell_f1(0.5, 0.5, 0.5, 1.5, x, 0.3)
+
+    def test_beyond_the_term_cap_raises_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(NoConvergence, match="over 100000 terms"):
+            sf.appell_f1(1 / 6, 1 / 6, 1 / 6, 7 / 6, 1 - 1e-12, 1 - 1e-12)
+        assert time.perf_counter() - start < 0.05
+
+    def test_zero_of_the_first_factor(self):
+        # 2F1(-1, 1; 1/2; 1/2) = 0, so the ratio G_1/G_0 has no value and G_1
+        # comes from hyp2f1; F1 = t_1 xy = 0.25 (mpmath appellf1)
+        assert sf.hyp2f1(-1.0, 1.0, 0.5, 0.5) == 0
+        assert abs(sf.appell_f1(-1.0, 1.0, 0.5, 0.5, 0.5, -0.25) - 0.25) < 1e-15
+
+    @pytest.mark.parametrize("y, expected", [(0.3, -0.01), (0.625, 0.453125)])
+    def test_zero_factor_inside_the_sum(self, y, expected):
+        # 2F1(-1, 4; 5/2; 5/8) = 0 is the x factor at r = 1, and the r = 2
+        # term is not small; mpmath appellf1
+        value = sf.appell_f1(-2.0, 3.0, 0.5, 0.5, 0.625, y)
+        assert abs(value - expected) < 1e-14
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.floats(min_value=-1.0, max_value=1.5),
+        st.floats(min_value=-1.0, max_value=1.5),
+        st.floats(min_value=-1.0, max_value=1.5),
+        st.floats(min_value=0.5, max_value=2.5),
+        st.complex_numbers(max_magnitude=0.9),
+        st.complex_numbers(max_magnitude=0.9),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from(["a", "b1", "b2", "c-a", "c-b1", "c-b2"]),
+    )
+    def test_non_positive_integer_parameters(self, a, b1, b2, c, x, y, k, which):
+        # a, b1 or b2 = -k, or c - a, c - b1 or c - b2 = -k: a zero
+        # denominator of the recurrence, or a sum that stops at r = k
+        a, b1, b2 = {
+            "a": (-k, b1, b2), "b1": (a, -k, b2), "b2": (a, b1, -k),
+            "c-a": (c + k, b1, b2), "c-b1": (a, c + k, b2), "c-b2": (a, b1, c + k),
+        }[which]
+        expected = _per_r_sum(a, b1, b2, c, x, y)
+        assert abs(sf.appell_f1(a, b1, b2, c, x, y) - expected) <= 1e-13 * abs(expected)
 
 
 class TestIncompleteBeta:

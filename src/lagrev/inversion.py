@@ -1,24 +1,23 @@
-"""Solving w/f(w) = q and the derived objects P, F1, y, G, h.
+"""Solving w/f(w) = q and the derived objects P, F1, y, G.
 
 The equation is solved two ways: by formal series reversion (the series is
 the deliverable) and by direct Newton iteration (the oracle).  Everything
-downstream of w -- the reciprocal-P series, the Appell-based F1 pair, the
-composite G and the h map -- lives here.
+downstream of w -- the reciprocal-P series, the Appell-based F1 pair and
+the composite G -- lives here.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 from . import series as qs
-from .errors import AccuracyLoss, BranchError, PoleError, ZeroAtOrigin
+from .errors import AccuracyLoss, PoleError, ZeroAtOrigin
 from .expr import Node, eval_expr
 from .quadrature import newton
 from .series import TruncSeries, eval_series, lagrange_revert
-from .specfun import _as_z, appell_f1, e_map
+from .specfun import appell_f1, e_map
 
 _TWO_PI_I = 2j * math.pi
 
@@ -42,13 +41,12 @@ class InversionContext:
     w_series: TruncSeries
     a: tuple[complex, ...]  # a[n-1] = n * c_n, 1-based in the math
     order: int
-    c: complex = 0j
 
 
-def build_context(f: FuncSpec, order: int, c: complex = 0j) -> InversionContext:
+def build_context(f: FuncSpec, order: int) -> InversionContext:
     w = lagrange_revert(f.series, order)
     a = tuple(n * w[n] for n in range(1, order + 1))
-    return InversionContext(f=f, w_series=w, a=a, order=order, c=c)
+    return InversionContext(f=f, w_series=w, a=a, order=order)
 
 
 def solve_w_direct(f: FuncSpec, q: complex, tol: float = 1e-13) -> complex:
@@ -79,18 +77,10 @@ def _q_w_prime(ctx: InversionContext, q: complex) -> complex:
 
 def p_of_z(ctx: InversionContext, z) -> complex:
     """P = 1/(q w'(q)) at q = e(z), with q w'(q) = sum a_n q^n."""
-    qw = _q_w_prime(ctx, e_map(_as_z(z)).q)
+    qw = _q_w_prime(ctx, e_map(z))
     if qw == 0:
         raise PoleError("q w'(q) vanishes; P has a pole here")
     return 1.0 / qw
-
-
-def w_of_q_via_integral(ctx: InversionContext, z) -> complex:
-    """w recovered as the termwise integral of 1/P: sum (a_n/n) q^n."""
-    q = e_map(_as_z(z)).q
-    integrated = TruncSeries((0j,) + tuple(a / (n + 1) for n, a in enumerate(ctx.a)))
-    value, _tail = eval_series(integrated, q)
-    return value
 
 
 _X1_DEN = 11.0 + 5.0 * math.sqrt(5.0)
@@ -127,33 +117,9 @@ def F1_forward(x: complex, tol: float = 1e-12) -> complex:
 
 
 def y_of(ctx: InversionContext, z) -> complex:
-    """y(A) = F1((c - w(q_A)) / (2 pi i)) at q_A = e(A)."""
-    q = e_map(_as_z(z)).q
-    w, _tail = eval_series(ctx.w_series, q)
-    return F1_forward((ctx.c - w) / _TWO_PI_I)
-
-
-def cauchy_taylor(
-    fn: Callable[[complex], complex],
-    center: complex,
-    count: int,
-    radius: float = 0.5,
-    samples: int = 64,
-) -> list[complex]:
-    """Taylor coefficients fn^(k)(center)/k! for k < count+1 by the
-    trapezoid rule on a circle, exact for analytic fn up to aliasing."""
-    values = []
-    for j in range(samples):
-        theta = 2.0 * math.pi * j / samples
-        values.append(fn(center + radius * cmath.exp(1j * theta)))
-    coeffs = []
-    for k in range(count + 1):
-        acc = 0j
-        for j, v in enumerate(values):
-            theta = 2.0 * math.pi * j / samples
-            acc += v * cmath.exp(-1j * k * theta)
-        coeffs.append(acc / (samples * radius**k))
-    return coeffs
+    """y(A) = F1(-w(q_A) / (2 pi i)) at q_A = e(A)."""
+    w, _tail = eval_series(ctx.w_series, e_map(z))
+    return F1_forward(-w / _TWO_PI_I)
 
 
 def G_from_P0(
@@ -169,29 +135,3 @@ def G_from_P0(
         return -1.0 / u + p0(u)
 
     return g
-
-
-def h_of(
-    p0: Callable[[complex], complex], c: complex, a: complex, terms: int = 48
-) -> complex:
-    """h(A) = log(c - 2 pi i A)/(2 pi i) + sum_k P0^(k)(c) (-2 pi i)^k
-    A^(k+1) / (k+1)!, principal log, additive constant zero."""
-    a = complex(a)
-    u = c - _TWO_PI_I * a
-    if u.real <= 0 and abs(u.imag) < 1e-300:
-        raise BranchError("c - 2 pi i A lies on the logarithm cut")
-    total = cmath.log(u) / _TWO_PI_I
-    d = cauchy_taylor(p0, c, terms, radius=0.5)
-    tail_bound = math.inf
-    for k in range(terms + 1):
-        term = d[k] * (-_TWO_PI_I) ** k * a ** (k + 1) / (k + 1)
-        total += term
-        tail_bound = abs(term)
-        if tail_bound < 1e-14 and k >= 2:
-            return total
-    if tail_bound > 1e-12:
-        raise AccuracyLoss(
-            f"h series truncated after {terms + 1} terms; last |term| = {tail_bound:.3e} "
-            "exceeds 1e-12"
-        )
-    return total

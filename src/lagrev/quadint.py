@@ -26,18 +26,6 @@ from .errors import BranchError, DomainError, NoConvergence, PoleError
 from .quadrature import newton_decreasing
 from .specfun import gamma_fn, inc_beta
 
-__all__ = [
-    "QuadraticPowerIntegral",
-    "BetaPoint",
-    "B_alpha",
-    "beta_r",
-    "U_antideriv",
-    "omega",
-    "closed_integral_thm18",
-    "closed_integral_thm13_1",
-    "f1_integrand",
-]
-
 _TWO_PI_I = 2j * math.pi
 
 

@@ -1,6 +1,6 @@
 """The real-nome pipeline q = exp(-pi sqrt(A)).
 
-Everything here is built on one chain: h_i(A) = c + pi^-2 sum a_n q^n/n^2
+Everything here is built on one chain: h_i(A) = pi^-2 sum a_n q^n/n^2
 + (sqrt(A)/pi) sum a_n q^n/n, its numeric inverse h, and
 L(x) = w(exp(-pi sqrt(h(x)))).  Within that chain L'(x) = pi/sqrt(h(x))
 holds exactly, which the closed-form integral identities below exploit.
@@ -10,7 +10,6 @@ All free additive constants are fitted, never derived.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, NoBracket, NonMonotone
 from .expr import eval_expr
@@ -21,40 +20,28 @@ from .series import eval_series
 from .specfun import inc_beta, k_r, rogers_ramanujan, theta3
 
 
-@dataclass(frozen=True)
-class RealPoint:
-    """Positive abscissa A with its real nome q = exp(-pi sqrt(A))."""
-
-    A: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", float(self.A))
-        if not self.A > 0:
-            raise DomainError("RealPoint requires A > 0")
-
-    @property
-    def q(self) -> float:
-        return math.exp(-math.pi * math.sqrt(self.A))
-
-
-# the real chain runs on an InversionContext; the name stays for existing callers
+# perfbench's thm19 workload calls realanalog.build_real_context; the real
+# chain runs on an InversionContext
 build_real_context = build_context
 
 
-def _as_real(x) -> RealPoint:
-    return x if isinstance(x, RealPoint) else RealPoint(float(x))
+def _real_nome(A: float) -> float:
+    """The real nome q = exp(-pi sqrt(A)); DomainError unless A > 0."""
+    if not A > 0:
+        raise DomainError("the real nome requires A > 0")
+    return math.exp(-math.pi * math.sqrt(A))
 
 
 def hi_prime(ctx: InversionContext, A) -> float:
     """h_i'(A) = -(1/2) q w'(q) at q = exp(-pi sqrt(A)), with
     q w'(q) = sum a_n q^n."""
-    return -0.5 * _q_w_prime(ctx, _as_real(A).q).real
+    return -0.5 * _q_w_prime(ctx, _real_nome(float(A))).real
 
 
 def hi_of(ctx: InversionContext, A) -> float:
-    """h_i(A) = c + pi^-2 sum a_n q^n/n^2 + (sqrt(A)/pi) sum a_n q^n/n."""
-    pt = _as_real(A)
-    q = pt.q
+    """h_i(A) = pi^-2 sum a_n q^n/n^2 + (sqrt(A)/pi) sum a_n q^n/n."""
+    A = float(A)
+    q = _real_nome(A)
     s2 = 0.0
     s1 = 0.0
     qn = 1.0
@@ -62,7 +49,7 @@ def hi_of(ctx: InversionContext, A) -> float:
         qn *= q
         s2 += a.real * qn / (n * n)
         s1 += a.real * qn / n
-    return ctx.c.real + s2 / math.pi**2 + math.sqrt(pt.A) / math.pi * s1
+    return s2 / math.pi**2 + math.sqrt(A) / math.pi * s1
 
 
 def hi_inverse(

@@ -12,7 +12,6 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     BranchError,
@@ -27,42 +26,20 @@ _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 _PHI_NORM = math.sqrt(1.0 + _PHI * _PHI)
 
 
-@dataclass(frozen=True)
-class UpperHalfPoint:
-    """Modular variable z with Im(z) > 0 strictly."""
-
-    z: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", complex(self.z))
-        if not self.z.imag > 0:
-            raise DomainError("UpperHalfPoint requires Im(z) > 0")
-
-
-@dataclass(frozen=True)
-class Nome:
-    q: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", complex(self.q))
-        if not abs(self.q) < 1:
-            raise DomainError("Nome requires |q| < 1")
-
-
 def _as_z(z) -> complex:
-    z = z.z if isinstance(z, UpperHalfPoint) else complex(z)
+    z = complex(z)
     if not (z.imag > 0 and math.isfinite(z.real)):
         raise DomainError("expected a point of the upper half plane")
     return z
 
 
-def _as_q(q) -> complex:
-    return q.q if isinstance(q, Nome) else complex(q)
-
-
-def e_map(z) -> Nome:
-    """The nome e(z) = exp(2 pi i z)."""
-    return Nome(cmath.exp(_TWO_PI_I * _as_z(z)))
+def e_map(z) -> complex:
+    """The nome e(z) = exp(2 pi i z); DomainError where |e(z)| rounds to 1
+    (Im z below about 1e-17)."""
+    q = cmath.exp(_TWO_PI_I * _as_z(z))
+    if not abs(q) < 1:
+        raise DomainError("the nome e(z) requires |e(z)| < 1")
+    return q
 
 
 def _reduce(tau: complex) -> tuple[complex, list]:
@@ -117,7 +94,7 @@ def _thetas(tau: complex) -> tuple[complex, complex, complex]:
 def _nome_thetas(q) -> tuple[complex, complex, complex]:
     """(theta2, theta3, theta4) at the nome q = e^{i pi tau}, tau = log q/(i pi)
     principal (Re tau in (-1, 1]); DomainError unless |q| < 1."""
-    q = _as_q(q)
+    q = complex(q)
     if q == 0:
         return 0j, 1.0 + 0j, 1.0 + 0j
     if not abs(q) < 1:
@@ -604,7 +581,7 @@ def rogers_ramanujan(q) -> complex:
     unless |q| < 1, or where |R| exceeds the float range (near a cusp
     where R has a pole).
     """
-    q = _as_q(q)
+    q = complex(q)
     if not abs(q) < 1:
         raise DomainError("Rogers-Ramanujan product requires |q| < 1")
     if q == 0:

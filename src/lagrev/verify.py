@@ -29,7 +29,6 @@ from .inversion import (
     F1_inverse,
     InversionContext,
     build_context,
-    cauchy_taylor,
     eval_series,
     p_of_z,
     solve_w_direct,
@@ -82,6 +81,16 @@ def _context(text: str, order: int) -> InversionContext:
     per process and shared by every check (it is frozen and holds only
     tuples)."""
     return build_context(to_funcspec(parse_expr(text), order=order), order)
+
+
+def _cauchy_slope(fn: Callable[[complex], complex], z: complex) -> complex:
+    """fn'(z) by the trapezoid rule on the circle of radius 0.05 about z,
+    16 nodes: sum_j fn(z + r e^{i theta_j}) e^{-i theta_j} / (16 r)."""
+    acc = 0j
+    for j in range(16):
+        theta = 2.0 * math.pi * j / 16
+        acc += fn(z + 0.05 * cmath.exp(1j * theta)) * cmath.exp(-1j * theta)
+    return acc / (16 * 0.05)
 
 
 @dataclass(frozen=True)
@@ -460,7 +469,7 @@ def _check_eq18_body() -> _Outcome:
     err = 0.0
     for z in (0.9j, 1.1j):
         target = _TWO_PI_I * eta(z) ** 4
-        slope = cauchy_taylor(bracket, z, 1, radius=0.05, samples=16)[1]
+        slope = _cauchy_slope(bracket, z)
         err = max(err, abs(slope - target) / abs(target))
     return _Outcome(
         err, 2, "Cauchy derivative of the beta/theta chain matches 2 pi i eta^4"
@@ -469,7 +478,7 @@ def _check_eq18_body() -> _Outcome:
 
 def _check_g_chain() -> _Outcome:
     ctx = _context("exp(A)", 48)
-    g = G_from_P0(lambda u: 1.0 + 0j, ctx.c)
+    g = G_from_P0(lambda u: 1.0 + 0j, 0j)
     err = 0.0
     grid = [0.1 + 0.5j, -0.2 + 0.6j, 0.4j]
     for z in grid:
@@ -479,7 +488,7 @@ def _check_g_chain() -> _Outcome:
 
 def _check_pole_sign() -> _Outcome:
     ctx = _context("exp(A)", 48)
-    g = G_from_P0(lambda u: 1.0 + 0j, ctx.c)
+    g = G_from_P0(lambda u: 1.0 + 0j, 0j)
     z = 0.1 + 0.5j
     gy = g(y_of(ctx, z))
     p = p_of_z(ctx, z)
@@ -554,16 +563,16 @@ def _check_lambert_involution() -> _Outcome:
 
 def _check_lambda_derivative() -> _Outcome:
     def lam(a: complex) -> complex:
-        return cmath.log(_h0(e_map(a).q)) / _TWO_PI_I
+        return cmath.log(_h0(e_map(a))) / _TWO_PI_I
 
     def p_closed(a: complex) -> complex:
-        w = lambert_w(-e_map(a).q)
+        w = lambert_w(-e_map(a))
         return -(1.0 + w) / w
 
     err = 0.0
     grid = [0.1 + 0.8j, -0.15 + 0.9j]
     for a in grid:
-        slope = cauchy_taylor(lam, a, 1, radius=0.05, samples=16)[1]
+        slope = _cauchy_slope(lam, a)
         err = max(err, abs(slope + p_closed(lam(a)) / p_closed(a)))
     return _Outcome(
         err,

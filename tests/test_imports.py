@@ -1,22 +1,33 @@
-"""Every module of the package uses each name it imports, and every
-private module-level function or class is used somewhere in the package.
+"""Every module of the package uses each name it imports, every
+module-level function or class is reached, and the package namespace
+resolves exactly the names of its table.
 
 No linter ships with the package, so this stands in for the unused-import
 and dead-code rules: a name bound by an import must be read somewhere in
 the module, or be listed in the module's __all__; a module-level def or
 class whose name starts with one underscore must be named by some code
 outside its own body (in any module, so private helpers shared between
-modules count as used).
+modules count as used); a public one must be named so too, or be listed in
+the package table, or be named by the benchmark (perfbench/*.py, which
+calls some functions by name only).
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lagrev"
+import lagrev
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lagrev"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -40,15 +51,17 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
-def unreferenced_private_defs(sources: dict) -> list[str]:
+def unreferenced_defs(sources: dict, public: bool = False, named=frozenset()) -> list[str]:
+    """Module-level defs and classes, private or public, that no code
+    outside their own body names and that are not in `named`."""
     defined = {}
-    used = set()
+    used = set(named)
     for module, source in sources.items():
         for node in ast.parse(source).body:
             own = getattr(node, "name", None)
             if (
                 isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and own.startswith("_")
+                and own.startswith("_") != public
                 and not own.startswith("__")
             ):
                 defined[own] = f"{module}:{node.lineno}"
@@ -83,7 +96,25 @@ def test_detector():
 
 def test_no_unreferenced_private_defs():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
-    assert unreferenced_private_defs(sources) == []
+    assert unreferenced_defs(sources) == []
+
+
+def benchmark_names() -> set:
+    """Every name, attribute and string constant in perfbench/*.py: the
+    special-function workload calls getattr(specfun, name)."""
+    found = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)
+            found.add(getattr(node, "id", None) or getattr(node, "attr", None))
+    return found
+
+
+def test_no_unreferenced_public_defs():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    named = set(lagrev.__all__) | benchmark_names()
+    assert unreferenced_defs(sources, public=True, named=named) == []
 
 
 def test_dead_code_detector():
@@ -96,22 +127,59 @@ def test_dead_code_detector():
         ),
         "b.py": "from . import a\n\ndef public():\n    return a._used()\n",
     }
-    assert unreferenced_private_defs(sources) == ["_Dead (a.py:5)", "_recursive (a.py:3)"]
+    assert unreferenced_defs(sources) == ["_Dead (a.py:5)", "_recursive (a.py:3)"]
+    assert unreferenced_defs(sources, public=True) == ["public (b.py:3)"]
+    assert unreferenced_defs(sources, public=True, named={"public"}) == []
 
 
 def test_all_lists_exactly_the_public_imports():
-    # the unused-import rule skips __init__.py, so a public name removed
-    # from a module but not from the package namespace is caught here
-    import lagrev
+    # __all__ is derived from the package table: each name once, each the
+    # object its home module binds, and never bound into the package, so
+    # that a patched module function is what the package returns
+    table = lagrev._PUBLIC
+    assert len(lagrev.__all__) == sum(len(names) for names in table.values())
+    for module, names in table.items():
+        home = importlib.import_module(f"lagrev.{module}")
+        for name in names:
+            assert getattr(lagrev, name) is getattr(home, name)
+            assert name not in vars(lagrev)
 
-    assert [name for name in lagrev.__all__ if not hasattr(lagrev, name)] == []
-    imported = {
-        alias.asname or alias.name
-        for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
-        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-        for alias in node.names
-    }
-    assert sorted(n for n in imported if not n.startswith("_") and n not in lagrev.__all__) == []
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from lagrev import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(lagrev.__all__)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        lagrev.no_such_name
+
+
+def test_bare_import_loads_no_module():
+    # a fresh interpreter: `import lagrev` compiles none of the modules,
+    # and lagrev.<module> then works for every one of them
+    script = (
+        "import json, sys\n"
+        "import lagrev\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('lagrev.'))\n"
+        f"names = [getattr(lagrev, m).__name__ for m in {[p.stem for p in MODULES]!r}]\n"
+        "print(json.dumps([loaded, names]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    loaded, names = json.loads(done.stdout)
+    assert loaded == []
+    assert names == [f"lagrev.{p.stem}" for p in MODULES]
+
+
+def test_readme_library_tour_runs():
+    # the README's python block asserts its own results
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(tour, "README.md", "exec"), {})
 
 
 # The modules that may name the quadrature oracle: its home, the real

@@ -13,7 +13,6 @@ from lagrev.quadint import QuadraticPowerIntegral
 from lagrev.quadrature import quad_oracle
 from lagrev.realanalog import (
     L_of,
-    RealPoint,
     S_residual,
     build_real_context,
     f1_real_cross,
@@ -42,7 +41,7 @@ class TestLevelMap:
     def test_unit_instance_closed_form(self, unit_ctx):
         # f = 1 gives w = q, so the level map is elementary
         for a in (0.5, 1.0, 3.0):
-            q = RealPoint(a).q
+            q = math.exp(-math.pi * math.sqrt(a))
             closed = q / math.pi**2 + math.sqrt(a) * q / math.pi
             assert hi_of(unit_ctx, a) == pytest.approx(closed, abs=1e-15)
 
@@ -54,7 +53,7 @@ class TestLevelMap:
     def test_derivative_matches_differentiated_series(self, exp_ctx):
         # reference: the differentiated series w' with its own tail check
         def reference(a):
-            q = RealPoint(a).q
+            q = math.exp(-math.pi * math.sqrt(a))
             value, tail = eval_series(exp_ctx.w_series.derivative(), q)
             return -0.5 * q * value.real, tail > 1e-12
 
@@ -101,9 +100,11 @@ class TestLevelMap:
         with pytest.raises(NoBracket):
             hi_inverse(unit_ctx, 5.0, 0.05, 60.0)
 
-    def test_positive_abscissa_required(self):
-        with pytest.raises(DomainError):
-            RealPoint(-1.0)
+    def test_positive_abscissa_required(self, unit_ctx):
+        for a in (-1.0, 0.0, math.nan):
+            for level in (hi_of, hi_prime):
+                with pytest.raises(DomainError, match="requires A > 0"):
+                    level(unit_ctx, a)
 
 
 class TestChain:
@@ -126,7 +127,7 @@ class TestChain:
     def test_L_matches_series(self, unit_ctx):
         # for f = 1 the chain value is just the nome at the inverted level
         x = hi_of(unit_ctx, 1.5)
-        assert L_of(unit_ctx, x) == pytest.approx(RealPoint(1.5).q, rel=1e-10)
+        assert L_of(unit_ctx, x) == pytest.approx(math.exp(-math.pi * math.sqrt(1.5)), rel=1e-10)
 
 
 class TestLevelDifference:

@@ -199,10 +199,8 @@ def _cmd_integral(args) -> int:
         span = a2 - a1
         kwargs = {}
         if math.isinf(args.r1):
-            kwargs["sing_left"] = q.mf
             kwargs["from_left"] = _singular_distance_form(q, a1, span)
         if math.isinf(args.r2):
-            kwargs["sing_right"] = q.mf
             kwargs["from_right"] = _singular_distance_form(q, a2, -span)
         if args.f1 is None:
             integrand = q.evaluate

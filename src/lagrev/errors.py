@@ -52,7 +52,8 @@ class NonMonotone(LagrevError):
 
 
 class NonIntegrable(LagrevError):
-    """Adaptive quadrature stalled above the requested tolerance."""
+    """Quadrature stalled above the requested tolerance, or its terms do
+    not decay at a singular end."""
 
 
 class ParseError(LagrevError):

@@ -49,9 +49,10 @@ def build_context(f: FuncSpec, order: int) -> InversionContext:
     return InversionContext(f=f, w_series=w, a=a, order=order)
 
 
-def solve_w_direct(f: FuncSpec, q: complex, tol: float = 1e-13) -> complex:
-    """Newton oracle for w/f(w) = q: quadrature's newton from w0 = q*f(0),
-    with the exact slope from the jet f(w) + f'(w) eps."""
+def solve_w_direct(f: FuncSpec, q: complex) -> complex:
+    """Newton oracle for w/f(w) = q: quadrature's newton to |residual|
+    < 1e-13 from w0 = q*f(0), with the exact slope from the jet
+    f(w) + f'(w) eps."""
     f0 = eval_expr(f.tree, 0j)
     if f0 == 0:
         raise ZeroAtOrigin("f vanishes at the origin")
@@ -60,7 +61,7 @@ def solve_w_direct(f: FuncSpec, q: complex, tol: float = 1e-13) -> complex:
         fw, fprime = eval_expr(f.tree, TruncSeries((w, 1))).coeffs
         return (fw - w * fprime) / (fw * fw)
 
-    return newton(lambda w: w / eval_expr(f.tree, w) - q, slope, complex(q) * f0, tol)
+    return newton(lambda w: w / eval_expr(f.tree, w) - q, slope, complex(q) * f0, 1e-13)
 
 
 def _q_w_prime(ctx: InversionContext, q: complex) -> complex:
@@ -107,13 +108,14 @@ def F1_inverse_deriv(y: complex) -> complex:
     return 5.0 / (y * (y**-5 - 11.0 - y**5) ** (1.0 / 6.0))
 
 
-def F1_forward(x: complex, tol: float = 1e-12) -> complex:
-    """Inverse of F1_inverse: quadrature's newton with the exact
-    derivative F1_inverse_deriv, from the leading-order seed (x/6)^(6/5)."""
+def F1_forward(x: complex) -> complex:
+    """Inverse of F1_inverse: quadrature's newton to |residual| < 1e-12
+    with the exact derivative F1_inverse_deriv, from the leading-order
+    seed (x/6)^(6/5)."""
     x = complex(x)
     if x == 0:
         return 0j
-    return newton(lambda y: F1_inverse(y) - x, F1_inverse_deriv, (x / 6.0) ** (6.0 / 5.0), tol)
+    return newton(lambda y: F1_inverse(y) - x, F1_inverse_deriv, (x / 6.0) ** (6.0 / 5.0), 1e-12)
 
 
 def y_of(ctx: InversionContext, z) -> complex:

@@ -1,21 +1,20 @@
-"""Adaptive Gauss-Kronrod quadrature along straight segments in C, and
-the two Newton solvers that every scalar root solve of the package goes
-through: newton_decreasing (real, bracketed) and newton (complex,
-unbracketed).
+"""Quadrature along straight segments in C, and the two Newton solvers
+that every scalar root solve of the package goes through:
+newton_decreasing (real, bracketed) and newton (complex, unbracketed).
 
 The integrator is the ground truth the verification suite uses against
 every closed form; it must stay independent of those closed forms.
-Endpoint singularities of type |t - endpoint|^{-s}, s < 1, are removed
-by the power substitution t = u^p with p(1-s) >= 3 before subdividing.
+A segment with a singular end, given as a function of the distance to
+it, goes through the tanh-sinh rule; any other through adaptive
+Gauss-Kronrod 15.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import DomainError, NoConvergence, NonIntegrable
+from .errors import NoConvergence, NonIntegrable
 
 # 15-point Kronrod nodes on [-1, 1] (symmetric; nonnegative half listed)
 # with the embedded 7-point Gauss rule on the odd-indexed nodes; the
@@ -102,20 +101,62 @@ def _adaptive(fn, a: float, b: float, tol: float) -> tuple[complex, float]:
     return total, total_err
 
 
-def _power_order(s: float) -> float:
-    """Substitution exponent for a |t|^{-s} endpoint singularity.
+_TS_LEVELS = 10
 
-    When s is (close to) a small rational P/Q the exponent is chosen as a
-    multiple of Q, which turns every term of the local Puiseux expansion
-    into an integer power of u; the transformed integrand is then smooth
-    and Gauss-Kronrod converges at machine precision.
+
+def _tanh_sinh(left, right, tol: float) -> tuple[complex, float]:
+    """Tanh-sinh rule on the parameter interval [0, 1] (Takahasi & Mori 1974).
+
+    left(d) / right(d) is the integrand times the span at parameter
+    distance d from that end, or None once the node rounds onto the end.
+    The node at x >= 0 lies at d = e/(1 + e), e = exp(-pi sinh x), from
+    each end, with weight pi cosh x d (1 - d).  Level 0 walks each side out
+    in unit steps until a term is negligible or the side ends; each later
+    level halves the step within that reach.  Returns once two levels agree
+    within tol, from the third level on; the estimate is their difference,
+    floored at 4 ulps of the sum of |terms|.  NonIntegrable when level 0
+    reaches d = 0 with d |f| still above tol (the endpoint terms do not
+    decay), or when the levels disagree at level 10.
     """
-    least = 3.0 / (1.0 - s)
-    frac = Fraction(s).limit_denominator(24)
-    if abs(float(frac) - s) < 1e-12:
-        q = frac.denominator
-        return float(q * math.ceil(least / q))
-    return float(math.ceil(least))
+    reach = [math.inf, math.inf]
+    total = 0.25 * math.pi * left(0.5)
+    mass, evals, h, previous = abs(total), 1, 1.0, None
+    for level in range(_TS_LEVELS + 1):
+        for i, fn in enumerate((left, right)):
+            x, last = h, 0.0
+            while x < reach[i]:
+                e = math.exp(-math.pi * math.sinh(x))
+                d = e / (1.0 + e)
+                f = fn(d)
+                if f is None:
+                    if level == 0 and d == 0.0 and last > tol:
+                        raise NonIntegrable(
+                            f"endpoint terms do not decay: d |f| = {last:.3e} at the "
+                            f"{('left', 'right')[i]} end, level {level}, {evals} evaluations"
+                        )
+                    reach[i] = x
+                    break
+                evals += 1
+                term = math.pi * math.cosh(x) * d * (1.0 - d) * f
+                total += term
+                mass += abs(term)
+                last = d * abs(f)
+                if level == 0 and abs(term) <= 2.0**-52 * mass:
+                    reach[i] = x
+                    break
+                x += h if level == 0 else 2.0 * h
+        value = h * total
+        floor = 4.0 * 2.0**-52 * h * mass
+        if previous is not None:
+            diff = abs(value - previous)
+            if level >= 2 and diff <= max(tol, floor):
+                return value, max(diff, floor)
+        previous = value
+        h *= 0.5
+    raise NonIntegrable(
+        f"tanh-sinh levels still disagree by {diff:.3e} at level {_TS_LEVELS}, "
+        f"{evals} evaluations"
+    )
 
 
 def quad_oracle(
@@ -123,24 +164,20 @@ def quad_oracle(
     z1: complex,
     z2: complex,
     tol: float = 1e-12,
-    sing_left: float = 0.0,
-    sing_right: float = 0.0,
     from_left: Optional[Callable[[float], complex]] = None,
     from_right: Optional[Callable[[float], complex]] = None,
 ) -> tuple[complex, float]:
-    """Integrate along the straight segment [z1, z2].
-
-    sing_left / sing_right declare endpoint singularities: the integrand
-    may blow up like |t - endpoint|^{-s} with the given s < 1.  For a
-    singular endpoint the integrand should be supplied additionally as
-    from_left(d) / from_right(d), the value at parameter distance d from
-    that endpoint along the segment; evaluating the distance directly
-    avoids the cancellation 1 - (1 - d) that otherwise caps the attainable
-    accuracy near t = z2 at roughly eps^(1-s).  Returns
+    """Integrate along the straight segment [z1, z2]; returns
     (value, error_estimate).
+
+    from_left(d) / from_right(d), the integrand at parameter distance d
+    from that end, marks a singular end: the distance is evaluated
+    directly, without the cancellation 1 - (1 - d) that otherwise caps the
+    accuracy near the end.  A segment with either form goes through the
+    tanh-sinh rule, which needs no exponent of the singularity, and an end
+    without a form through the integrand; a segment with neither through
+    adaptive Gauss-Kronrod 15.
     """
-    if not (0.0 <= sing_left < 1.0 and 0.0 <= sing_right < 1.0):
-        raise DomainError("endpoint singularity exponents must lie in [0, 1)")
     if z1 == z2:
         return 0j, 0.0
     span = z2 - z1
@@ -148,58 +185,16 @@ def quad_oracle(
     def on_segment(t: float) -> complex:
         return integrand(z1 + span * t) * span
 
-    if sing_left == 0.0 and sing_right == 0.0:
+    if from_left is None and from_right is None:
         return _adaptive(on_segment, 0.0, 1.0, tol)
 
-    # The fallbacks reconstruct the point from the endpoint, so inside the
-    # sub-eps shell the distance information is already lost; treat a
-    # resulting division by zero as the (substitution-suppressed) origin.
-    if from_left is None:
-        from_left = _guarded(lambda d: integrand(z1 + span * d))
-    if from_right is None:
-        from_right = _guarded(lambda d: integrand(z1 + span * (1.0 - d)))
+    def side(form, t_of):
+        if form is not None:
+            return lambda d: form(d) * span if d else None
+        end = z1 + span * t_of(0.0)
+        return lambda d: None if z1 + span * t_of(d) == end else on_segment(t_of(d))
 
-    # Each singular endpoint gets its own substituted piece expressed in
-    # the distance from that endpoint, so both pieces carry a + sign.
-    parts = []
-    if sing_left > 0.0 and sing_right > 0.0:
-        parts.append(_substituted(from_left, span, 0.5, sing_left))
-        parts.append(_substituted(from_right, span, 0.5, sing_right))
-    elif sing_left > 0.0:
-        parts.append(_substituted(from_left, span, 1.0, sing_left))
-    else:
-        parts.append(_substituted(from_right, span, 1.0, sing_right))
-
-    total = 0j
-    total_err = 0.0
-    for fn in parts:
-        value, err = _adaptive(fn, 0.0, 1.0, tol)
-        total += value
-        total_err += err
-    return total, total_err
-
-
-def _guarded(fn):
-    def safe(d: float) -> complex:
-        try:
-            return fn(d)
-        except ZeroDivisionError:
-            return 0j
-
-    return safe
-
-
-def _substituted(fn_dist, span: complex, width: float, s: float):
-    """Map u in (0,1] -> d = width * u^p so the transformed integrand
-    fn_dist(d) * dd/du vanishes at least quadratically at u = 0."""
-    p = _power_order(s)
-
-    def transformed(u: float) -> complex:
-        if u == 0.0:
-            return 0j
-        return fn_dist(width * u**p) * span * width * p * u ** (p - 1.0)
-
-    return transformed
+    return _tanh_sinh(side(from_left, lambda d: d), side(from_right, lambda d: 1.0 - d), tol)
 
 
 _NEWTON_EVALS = 100

@@ -98,10 +98,9 @@ def S_residual(
     h1 = 1e-6 * max(1.0, abs(x))
     lp = _richardson_d1(L, x, h1)
     h2 = 1e-4 * max(1.0, abs(x))
-    lx0 = L(x)
-    d2 = lambda s: (L(x + s) - 2.0 * lx0 + L(x - s)) / (s * s)  # noqa: E731
-    lpp = (4.0 * d2(h2 / 2) - d2(h2)) / 3.0
     lx = L(x)
+    d2 = lambda s: (L(x + s) - 2.0 * lx + L(x - s)) / (s * s)  # noqa: E731
+    lpp = (4.0 * d2(h2 / 2) - d2(h2)) / 3.0
     left = -lpp / lp**3 + 1.0 / (math.pi**2 * lx)
     hprime = 1.0 / hi_prime(ctx, hi_inverse(ctx, x, lo, hi))
     right = 0.5 / math.pi**2 * (hprime + 2.0 / lx)
@@ -138,11 +137,10 @@ def thm19_oracle(
     r2: float,
     lo: float = 0.05,
     hi: float = 60.0,
-    tol: float = 1e-10,
 ) -> float:
-    """Quadrature of f1(t) (quadratic)^-m between the beta endpoints,
-    with f1(t) = 1/h_i'(h(U(t))): the weight for which the closed form
-    of thm19_value holds."""
+    """Quadrature of f1(t) (quadratic)^-m between the beta endpoints, to
+    tolerance 1e-10, with f1(t) = 1/h_i'(h(U(t))): the weight for which
+    the closed form of thm19_value holds."""
     a1 = beta_endpoint(q, r1)
     a2 = beta_endpoint(q, r2)
 
@@ -151,7 +149,7 @@ def thm19_oracle(
         s = hi_inverse(ctx, u, lo, hi)
         return complex(q.evaluate(t).real / hi_prime(ctx, s))
 
-    value, _err = quad_oracle(integrand, a1, a2, tol=tol)
+    value, _err = quad_oracle(integrand, a1, a2, tol=1e-10)
     return value.real
 
 
@@ -194,17 +192,17 @@ def modular_abscissa(r: float) -> float:
     return inc_beta(k_r(r) ** 2, 1.0 / 6.0, 2.0 / 3.0).real / _CBRT4
 
 
-def f1_real_cross(
-    A: float, r_lo: float = 0.05, r_hi: float = 50.0
-) -> tuple[float, float]:
+def f1_real_cross(A: float) -> tuple[float, float]:
     """Two independent values that an identity says coincide:
     F1(A) through the Appell/Newton path, and R(exp(-pi sqrt(m0(A))))
     through the modular path, m0 inverting modular_abscissa by
-    newton_decreasing in s = sqrt(r), a variable that stays clear of 0.
+    newton_decreasing in s = sqrt(r) over r in [0.05, 50], a variable
+    that stays clear of 0.
     The slope is d lambda/ds = -pi lambda theta4^4 (lambda'(tau) =
     i pi lambda theta4^4 at tau = i s, lambda = k_r^2) times
     dB0/d lambda = lambda^(-5/6) (1 - lambda)^(-1/3).
     """
+    r_lo, r_hi = 0.05, 50.0
     g_lo = modular_abscissa(r_lo)
     g_hi = modular_abscissa(r_hi)
     if not (g_hi <= A <= g_lo):

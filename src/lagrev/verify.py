@@ -312,13 +312,12 @@ def _check_rogers_ramanujan_anchor() -> _Outcome:
 
 
 def _check_quadrature_calibration() -> _Outcome:
-    v, _ = quad_oracle(lambda t: t**-0.5, 0.0, 1.0, sing_left=0.5)
+    v, _ = quad_oracle(lambda t: t**-0.5, 0.0, 1.0, from_left=lambda d: d**-0.5)
     err = abs(v - 2.0)
     v, _ = quad_oracle(
         lambda t: (1.0 - t * t) ** -0.5,
         0.0,
         1.0,
-        sing_right=0.5,
         from_right=lambda d: (d * (2.0 - d)) ** -0.5,
     )
     err = max(err, abs(v - math.pi / 2.0))
@@ -326,8 +325,8 @@ def _check_quadrature_calibration() -> _Outcome:
         lambda t: t ** (-5.0 / 6.0) * (1.0 - t) ** (-1.0 / 3.0),
         0.0,
         1.0,
-        sing_left=5.0 / 6.0,
-        sing_right=1.0 / 3.0,
+        from_left=lambda d: d ** (-5.0 / 6.0) * (1.0 - d) ** (-1.0 / 3.0),
+        from_right=lambda d: (1.0 - d) ** (-5.0 / 6.0) * d ** (-1.0 / 3.0),
     )
     beta = gamma_fn(1.0 / 6.0) * gamma_fn(2.0 / 3.0) / gamma_fn(5.0 / 6.0)
     err = max(err, abs(v - beta))
@@ -372,7 +371,6 @@ def _check_thm18_calibration() -> _Outcome:
         q.evaluate,
         a1,
         a2,
-        sing_left=0.5,
         # d is parameter distance, so the abscissa is a1 + span*d
         from_left=lambda d: complex(span * d * (2.0 - span * d)) ** -0.5,
     )

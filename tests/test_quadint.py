@@ -131,7 +131,6 @@ class TestClosedIntegral:
             arcsine.evaluate,
             a1,
             a2,
-            sing_left=0.5,
             from_left=lambda d: complex(span * d * (2 - span * d)) ** -0.5,
         )
         assert abs(value - math.pi / 4) < 1e-10
@@ -166,10 +165,7 @@ def test_real_a1_positive_c1_negative_against_quadrature(b1, m, r1):
         # a1 is a root of the quadratic: evaluate at distance d from it
         span = a2 - a1
         slope = 2.0 * q.a1 * a1 + q.b1
-        kwargs = dict(
-            sing_left=float(m),
-            from_left=lambda d: (span * d * (slope + q.a1 * span * d)) ** -float(m),
-        )
+        kwargs = dict(from_left=lambda d: (span * d * (slope + q.a1 * span * d)) ** -float(m))
     direct, _ = quad_oracle(q.evaluate, a1, a2, **kwargs)
     assert abs(closed - direct) < 1e-9 * max(1.0, abs(direct))
 

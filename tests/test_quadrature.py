@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 
 import pytest
 
@@ -48,9 +49,37 @@ class TestSmooth:
         assert abs(value - (cmath.exp(z2) - cmath.exp(z1))) < 1e-12
 
 
+# The calibration integrals of verify's quadrature_calibration check, each
+# singular end given by its distance form: (integrand, forms, closed form).
+CALIBRATION = [
+    (lambda t: t**-0.5, dict(from_left=lambda d: d**-0.5), 2.0),
+    (
+        lambda t: (1 - t * t) ** -0.5,
+        dict(from_right=lambda d: (d * (2 - d)) ** -0.5),
+        math.pi / 2,
+    ),
+    (
+        lambda t: t ** (-5 / 6) * (1 - t) ** (-1 / 3),
+        dict(
+            from_left=lambda d: d ** (-5 / 6) * (1 - d) ** (-1 / 3),
+            from_right=lambda d: (1 - d) ** (-5 / 6) * d ** (-1 / 3),
+        ),
+        (gamma_fn(1 / 6) * gamma_fn(2 / 3) / gamma_fn(5 / 6)).real,
+    ),
+]
+
+
+def _counted(fn, box):
+    def wrapped(*args):
+        box[0] += 1
+        return fn(*args)
+
+    return wrapped
+
+
 class TestEndpointSingularities:
     def test_inverse_square_root(self):
-        value, _ = quad_oracle(lambda t: t**-0.5, 0.0, 1.0, sing_left=0.5)
+        value, _ = quad_oracle(lambda t: t**-0.5, 0.0, 1.0, from_left=lambda d: d**-0.5)
         assert abs(value - 2.0) < 1e-11
 
     def test_right_singularity_distance_form(self):
@@ -58,31 +87,56 @@ class TestEndpointSingularities:
             lambda t: (1 - t * t) ** -0.5,
             0.0,
             1.0,
-            sing_right=0.5,
             from_right=lambda d: (d * (2 - d)) ** -0.5,
         )
         assert abs(value - math.pi / 2) < 1e-11
 
     def test_two_sided_beta(self):
-        value, _ = quad_oracle(
-            lambda t: t ** (-5 / 6) * (1 - t) ** (-1 / 3),
-            0.0,
-            1.0,
-            sing_left=5 / 6,
-            sing_right=1 / 3,
-        )
-        closed = gamma_fn(1 / 6) * gamma_fn(2 / 3) / gamma_fn(5 / 6)
+        integrand, forms, closed = CALIBRATION[2]
+        value, _ = quad_oracle(integrand, 0.0, 1.0, **forms)
         assert abs(value - closed) < 1e-10
 
     def test_strength_near_one(self):
-        value, _ = quad_oracle(lambda t: t**-0.9, 0.0, 1.0, sing_left=0.9)
+        value, _ = quad_oracle(lambda t: t**-0.9, 0.0, 1.0, from_left=lambda d: d**-0.9)
         assert abs(value - 10.0) < 1e-9
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_estimate_covers_the_calibration_error(self, case):
+        integrand, forms, closed = CALIBRATION[case]
+        value, estimate = quad_oracle(integrand, 0.0, 1.0, **forms)
+        assert abs(value - closed) <= estimate <= 1e-13
+
+    def test_calibration_costs_at_most_2000_evaluations(self):
+        box = [0]
+        for integrand, forms, closed in CALIBRATION:
+            counted = {key: _counted(form, box) for key, form in forms.items()}
+            value, _ = quad_oracle(_counted(integrand, box), 0.0, 1.0, **counted)
+            assert abs(value - closed) < 1e-10
+        assert box[0] <= 2000
+
+    def test_unreached_end_is_not_evaluated(self):
+        # the right end has no form: its abscissa 1 - d rounds onto t = 1
+        # long before d underflows, and that side's sum ends there instead
+        # of raising ZeroDivisionError from 0.0 ** -0.25
+        value, _ = quad_oracle(
+            lambda t: (1 - t) ** -0.25,
+            0.0,
+            1.0,
+            from_left=lambda d: 1 / (1 - d) ** 0.25,
+        )
+        assert abs(value - 4 / 3) < 1e-9
 
 
 class TestFailure:
     def test_non_integrable_pole(self):
         with pytest.raises(NonIntegrable, match=r"panel \[0, .*error estimate .* \d+ splits"):
             quad_oracle(lambda t: 1.0 / t if t != 0 else 0j, 0.0, 1.0)
+
+    def test_divergent_distance_form(self):
+        start = time.perf_counter()
+        with pytest.raises(NonIntegrable, match=r"do not decay.* level 0, \d+ evaluations"):
+            quad_oracle(lambda t: 1 / t, 0.0, 1.0, from_left=lambda d: 1 / d)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestNewtonDecreasing:

@@ -7,8 +7,8 @@ Arithmetic never silently extends the truncation order: binary operations
 truncate to the shorter operand, and mixing a ``Fraction`` series with a
 complex one gives a complex series.  All values are immutable; every
 operation is pure.  ``lagrange_revert`` and ``revert_exact`` share one
-Newton loop on these series, each step of which runs at the order it
-reaches.
+Newton loop on these series, whose orders are fixed top-down from N,
+each about half the next, so that only the last step runs near N.
 
 Exact products and quotients run on integers: each ``Fraction``
 operand becomes integer numerators over one common denominator (its
@@ -256,9 +256,11 @@ def _revert(f: TruncSeries, order: int) -> TruncSeries:
 
     The start w = f(0) q is exact through q^1, and a step takes a w that
     is exact through q^n to one exact through q^(2n+2): the error e
-    becomes O(q e^2) (Brent & Kung, J. ACM 25, 1978).  So each step works
-    at the order it reaches, min(N, 2n+2), and drops only terms it could
-    not make exact: N = 64 takes 5 steps, at orders 4, 10, 22, 46 and 64.
+    becomes O(q e^2) (Brent & Kung, J. ACM 25, 1978).  The orders are
+    fixed top-down, m = N then m <- (m-1)//2 while m > 1, and run upward:
+    each m is at most 2n+2 for the n below it, so every step is exact
+    through its order, and only the last runs near N: N = 64 takes 5
+    steps, at orders 3, 7, 15, 31 and 64 (2, 5, 11, 23 and 48 at N = 48).
     It is private so that a call of revert_exact never counts as one of
     lagrange_revert.
     """
@@ -270,9 +272,11 @@ def _revert(f: TruncSeries, order: int) -> TruncSeries:
     fprime = fN.derivative().padded(order)
     one = constant(fN._scalar(1), order)
     w = TruncSeries((fN._scalar(0), fN.coeffs[0]))
-    exact_through = 1
-    while exact_through < order:
-        exact_through = min(order, 2 * exact_through + 2)
+    ladder, m = [], order
+    while m > 1:
+        ladder.append(m)
+        m = (m - 1) // 2
+    for exact_through in reversed(ladder):
         w = w.padded(exact_through)
         residual = w - _shift(compose(fN.truncated(exact_through), w))
         slope = one - _shift(compose(fprime.truncated(exact_through), w))
@@ -289,8 +293,8 @@ def lagrange_revert(f: TruncSeries, order: int) -> TruncSeries:
     """Series w(q) with w(q)/f(w(q)) = q + O(q^{order+1}).
 
     Solved by Newton iteration on the series equation w = q*f(w), whose
-    attained order doubles per step; each step runs at the order it
-    reaches, not at the full order.  The coefficients keep f's type
+    attained order doubles per step; the orders are fixed top-down from
+    N, so only the last step runs near N.  The coefficients keep f's type
     (complex, or Fraction for an exact f).  f must not vanish at the
     origin.
     """

@@ -14,6 +14,7 @@ import math
 import sys
 
 from .errors import (
+    AccuracyLoss,
     BranchError,
     ConvergenceDomain,
     DomainError,
@@ -227,6 +228,18 @@ _MAX_TERMS = 100000
 # most this many times its modulus carries an error near 1e-14 relative.
 _ROUNDING_BOUND = 45
 
+# Cancellation bound of hyp2f1 and appell_f1: a value whose size exceeds this
+# many times its modulus may be wrong from the 12th digit on, and raises.
+_CANCELLATION_BOUND = 1e4
+
+
+def _uncancelled(value: complex, size: float, name: str, *args) -> complex:
+    """value, unless its size passes _CANCELLATION_BOUND times |value|; an
+    exact zero stands, as at a zero of a terminating sum."""
+    if value and not size <= _CANCELLATION_BOUND * abs(value):
+        raise AccuracyLoss(f"{name}{args} cancels: size {size:.3e}, |value| {abs(value):.3e}")
+    return value
+
 
 def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
     """Gauss 2F1 on |x| < 1 (_gauss): the Maclaurin series where |x| <= 1/2,
@@ -238,8 +251,9 @@ def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
     Rounding bound: the value stands when its size is at most
     _ROUNDING_BOUND (45) times |value|, an error near 1e-14 relative;
     otherwise the Maclaurin sum is taken too and returned, unless its size
-    is the larger.  DomainError at a non-positive integer c; NoConvergence
-    at _MAX_TERMS terms.
+    is the larger.  AccuracyLoss where the size of the nonzero value
+    returned exceeds _CANCELLATION_BOUND (1e4) times |value|.  DomainError
+    at a non-positive integer c; NoConvergence at _MAX_TERMS terms.
     """
     if _is_pole(c):
         raise DomainError("2F1 undefined at non-positive integer c")
@@ -249,8 +263,8 @@ def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
     value, size = _gauss(a, b, c, x)
     if not size <= _ROUNDING_BOUND * abs(value):
         # the Maclaurin sum wins ties, so a core out of range (size inf) never stands
-        value = min(_maclaurin(a, b, c, x), (value, size), key=lambda pair: pair[1])[0]
-    return value
+        value, size = min(_maclaurin(a, b, c, x), (value, size), key=lambda pair: pair[1])
+    return _uncancelled(value, size, "2F1", a, b, c, x)
 
 
 def _maclaurin(a: float, b: float, c: float, x: complex) -> tuple[complex, float]:
@@ -462,8 +476,9 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: complex, y: complex) 
     r).  Cost: O(1/sqrt(1 - |z|)) steps (620 at x = y = 0.999).  `hyp2f1`
     gives the r = 0 factors (one call when (b1, x) = (b2, y)), the r = 1
     factor where the pass cancels there, and the value alone on an axis.
-    DomainError at a non-positive integer c; NoConvergence where n would
-    pass _MAX_TERMS.
+    AccuracyLoss where the sum of |term| exceeds _CANCELLATION_BOUND (1e4)
+    times a nonzero |F1|; DomainError at a non-positive integer c;
+    NoConvergence where n would pass _MAX_TERMS.
     """
     x, y = complex(x), complex(y)
     if not (abs(x) < 1 and abs(y) < 1):  # NaN too
@@ -478,19 +493,24 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: complex, y: complex) 
         fx = _gauss_factors(a, b1, c, x, n)
         fy = fx if (b1, x) == (b2, y) else _gauss_factors(a, b2, c, y, n)
         term = total = fx[0] * fy[0]
+        size = abs(term)
         for r in range(n):
             # t_{r+1} / t_r; the factor (c+r-1)/(c+2r-1) is 1 at r = 0
             shift = (c + r - 1) / (c + 2 * r - 1) if r else 1.0
             step = (a + r) * (b1 + r) * (b2 + r) * (c - a + r) * shift * x * y
             step /= (r + 1) * (c + 2 * r) ** 2 * (c + 2 * r + 1)
             if step == 0:
-                return total
+                break
             last = term
             term = step * fx[1] * fy[1] if r == 0 else term * step * fx[r + 1] * fy[r + 1]
             total += term
+            size += abs(term)
             if max(abs(last), abs(term)) < 1e-17 * abs(total):
-                return total
-        n *= 2
+                break
+        else:
+            n *= 2
+            continue
+        return _uncancelled(total, size, "F1", a, b1, b2, c, x, y)
     raise NoConvergence(
         f"Appell F1 expansion needs over {_MAX_TERMS} terms at |x| = {abs(x):.17g}, "
         f"|y| = {abs(y):.17g}"

@@ -64,11 +64,12 @@ class TestReversion:
 
 class TestExactReversion:
     def test_exponential_certificate(self):
-        f = [Fraction(1, math.factorial(k)) for k in range(25)]
-        w = qs.revert_exact(f, 24)
-        assert qs.defining_residual_exact(f, w) == 0
-        for n in range(1, 25):
-            assert w[n] == Fraction(n ** (n - 1), math.factorial(n))
+        for order in (24, 48):
+            f = [Fraction(1, math.factorial(k)) for k in range(order + 1)]
+            w = qs.revert_exact(f, order)
+            assert qs.defining_residual_exact(f, w) == 0
+            for n in range(1, order + 1):
+                assert w[n] == Fraction(n ** (n - 1), math.factorial(n))
 
     def test_float_inputs_are_dyadic(self):
         w = qs.revert_exact([1.0, 0.5], 6)
@@ -101,8 +102,14 @@ class TestExactReversion:
             assert abs(wf[n] - complex(w[n])) <= 1e-12 * scale
 
     def test_newton_steps_follow_the_doubling_law(self, monkeypatch):
-        # exact through 1, 4, 10, 22, 46, 94: N = 64 needs 5 steps of two
-        # compositions each, and each step works at the order it reaches
+        # the orders are fixed top-down from N by m <- (m-1)//2, and a step
+        # of two compositions takes an order n that is exact to 2n+2
+        ladders = {
+            64: [3, 7, 15, 31, 64],
+            48: [2, 5, 11, 23, 48],
+            24: [2, 5, 11, 24],
+            16: [3, 7, 16],
+        }
         calls = []
         compose = qs.compose
 
@@ -111,8 +118,14 @@ class TestExactReversion:
             return compose(outer, inner)
 
         monkeypatch.setattr(qs, "compose", counted)
-        qs.lagrange_revert(exponential(64), 64)
-        assert calls == [4, 4, 10, 10, 22, 22, 46, 46, 64, 64]
+        for order, ladder in ladders.items():
+            calls.clear()
+            qs.lagrange_revert(exponential(order), order)
+            assert calls == [m for m in ladder for _ in range(2)]
+            orders = calls[::2]
+            for below, m in zip([1] + orders, orders):
+                assert m <= 2 * below + 2
+            assert orders[-1] == order
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(

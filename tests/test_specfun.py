@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lagrev import specfun as sf
-from lagrev.errors import ConvergenceDomain, DomainError, NoConvergence
+from lagrev.errors import AccuracyLoss, ConvergenceDomain, DomainError, NoConvergence
 from lagrev.quadint import beta_r
 from lagrev.quadrature import quad_oracle
 
@@ -314,6 +314,13 @@ class TestHypergeometric:
         value = sf.hyp2f1(80.0, 80.0, 10.5, 0.99)
         assert value.real == math.inf and value.imag == 0
 
+    def test_cancellation_past_the_bound_raises(self):
+        # both the 1 - z connection and the Maclaurin series cancel: the
+        # value was 4.5e-5 off mpmath (573.0617 + 932.1435i), its size
+        # 2.8e12 times its modulus
+        with pytest.raises(AccuracyLoss, match=r"2F1\(40.25, 40.5, 81.5, .*size 3.0\d+e\+15"):
+            sf.hyp2f1(40.25, 40.5, 81.5, 0.6 + 0.7j)
+
     def test_decade_four_sums_few_terms(self, monkeypatch):
         # every series loop of the module steps through range
         steps = []
@@ -333,13 +340,23 @@ class TestHypergeometric:
         assert abs(sf.appell_f1(a, b1, b2, c, x, x) - sf.hyp2f1(a, b1 + b2, c, x)) < 1e-13
 
 
+def _unchecked_hyp2f1(a, b, c, z):
+    """hyp2f1's value without its cancellation check: a per-r factor of a
+    large r may cancel past the bound and still weigh nothing in F1."""
+    value, size = sf._gauss(a, b, c, z)
+    if not size <= sf._ROUNDING_BOUND * abs(value):
+        value = min(sf._maclaurin(a, b, c, z), (value, size), key=lambda pair: pair[1])[0]
+    return value
+
+
 def _per_r_sum(a, b1, b2, c, x, y):
     """F1 by the Burchnall-Chaundy expansion with every Gauss factor from
     hyp2f1: the sum appell_f1 took before its factors came from one
     recurrence."""
     coeff, total = 1.0 + 0j, 0j
     for r in range(2000):
-        fx, fy = sf.hyp2f1(a + r, b1 + r, c + 2 * r, x), sf.hyp2f1(a + r, b2 + r, c + 2 * r, y)
+        fx = _unchecked_hyp2f1(a + r, b1 + r, c + 2 * r, x)
+        fy = _unchecked_hyp2f1(a + r, b2 + r, c + 2 * r, y)
         term = coeff * fx * fy
         total += term
         if r and abs(term) < 1e-17 * abs(total):
@@ -482,6 +499,13 @@ class TestAppellF1:
         with pytest.raises(NoConvergence, match="over 100000 terms"):
             sf.appell_f1(1 / 6, 1 / 6, 1 / 6, 7 / 6, 1 - 1e-12, 1 - 1e-12)
         assert time.perf_counter() - start < 0.05
+
+    def test_cancelling_sum_raises(self):
+        # c - a < 0: the coefficients alternate and the sum cancels; it
+        # was 5.1e43 against 3.30e43 (mpmath hyp2f1(30, 60; 1.5; 0.5), the
+        # diagonal), with a sum of |term| 7.9e15 times |F1|
+        with pytest.raises(AccuracyLoss, match=r"F1\(30, 30, 30, 1.5, .*size 4.0\d+e\+59"):
+            sf.appell_f1(30, 30, 30, 1.5, 0.5, 0.5)
 
     def test_zero_of_the_first_factor(self):
         # 2F1(-1, 1; 1/2; 1/2) = 0, so the ratio G_1/G_0 has no value and G_1

@@ -42,7 +42,6 @@ from .realanalog import (
     L_of,
     S_residual,
     f1_real_cross,
-    hi_inverse,
     hi_of,
     thm19_oracle,
     thm19_value,
@@ -83,10 +82,6 @@ def _parse_complex(text: str) -> complex:
     raise ValueError(f"expected RE or RE,IM, got {text!r}")
 
 
-def _parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _parse_r(text: str) -> float:
     if text.strip().lower() == "inf":
         return math.inf
@@ -95,20 +90,6 @@ def _parse_r(text: str) -> float:
 
 def _quadratic(args) -> QuadraticPowerIntegral:
     return QuadraticPowerIntegral(args.a1, args.b1, args.c1, args.m)
-
-
-def _singular_distance_form(q: QuadraticPowerIntegral, t0: complex, span: complex):
-    """Evaluator of (quadratic)^-m at parameter distance d from a root t0.
-
-    quad(t0 + span*d) = span*d*(quad'(t0) + a1*span*d) exactly when
-    quad(t0) = 0, which sidesteps the 1 - (1 - d) style cancellation.
-    """
-    slope = 2.0 * q.a1 * t0 + q.b1
-
-    def fn(d: float) -> complex:
-        return (span * d * (slope + q.a1 * span * d)) ** (-q.mf)
-
-    return fn
 
 
 def _cmd_revert(args) -> int:
@@ -199,9 +180,9 @@ def _cmd_integral(args) -> int:
         span = a2 - a1
         kwargs = {}
         if math.isinf(args.r1):
-            kwargs["from_left"] = _singular_distance_form(q, a1, span)
+            kwargs["from_left"] = q.root_form(a1, span)
         if math.isinf(args.r2):
-            kwargs["from_right"] = _singular_distance_form(q, a2, -span)
+            kwargs["from_right"] = q.root_form(a2, -span)
         if args.f1 is None:
             integrand = q.evaluate
         else:
@@ -240,11 +221,10 @@ def _cmd_real(args) -> int:
             print(f"oracle = {_fmt_real(oracle)}")
             print(f"abs_err = {_fmt_real(abs(value - oracle))}")
     elif args.op == "thm20":
-        h_map = lambda a: hi_inverse(ctx, a, args.lo, args.hi)  # noqa: E731
-        l1, sign = thm20_fit(ctx, h_map, [args.x], args.lo, args.hi)
+        l1, sign = thm20_fit(ctx, [args.x], args.lo, args.hi)
         print(f"l1 = {_fmt_real(l1)}")
         print(f"sign = {sign:+d}")
-        print(f"residual = {_fmt_real(thm20_residual(ctx, h_map, args.x, l1, args.lo, args.hi))}")
+        print(f"residual = {_fmt_real(thm20_residual(ctx, args.x, l1, args.lo, args.hi))}")
     else:  # f1cross
         direct, modular = f1_real_cross(args.x)
         print(f"direct = {_fmt_real(direct)}")
@@ -292,7 +272,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--a1", type=_parse_complex, required=True)
     p.add_argument("--b1", type=_parse_complex, required=True)
     p.add_argument("--c1", type=_parse_complex, required=True)
-    p.add_argument("--m", type=_parse_rational, required=True, help="exponent P/Q in (0,1)")
+    p.add_argument("--m", type=Fraction, required=True, help="exponent P/Q in (0,1)")
     p.add_argument("--r1", type=_parse_r, required=True, help="positive real or inf")
     p.add_argument("--r2", type=_parse_r, required=True)
     p.add_argument("--f1", default=None, help="expression for f; enables the log-bracket form")
@@ -310,7 +290,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--a1", type=_parse_complex, default=-1 + 0j)
     p.add_argument("--b1", type=_parse_complex, default=0j)
     p.add_argument("--c1", type=_parse_complex, default=1 + 0j)
-    p.add_argument("--m", type=_parse_rational, default=Fraction(1, 2))
+    p.add_argument("--m", type=Fraction, default=Fraction(1, 2))
     p.add_argument("--r1", type=_parse_r, default=35.0)
     p.add_argument("--r2", type=_parse_r, default=45.0)
     p.add_argument("--oracle", action="store_true")

@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from . import series as qs
-from .errors import AccuracyLoss, PoleError, ZeroAtOrigin
+from .errors import AccuracyLoss, DomainError, PoleError, ZeroAtOrigin
 from .expr import Node, eval_expr
 from .quadrature import newton
-from .series import TruncSeries, eval_series, lagrange_revert
+from .series import TruncSeries, eval_series, identity, lagrange_revert
 from .specfun import appell_f1, e_map
 
 _TWO_PI_I = 2j * math.pi
@@ -31,8 +30,8 @@ class FuncSpec:
     series: TruncSeries
 
 
-def to_funcspec(tree: Node, order: int = qs.DEFAULT_MAX_ORDER) -> FuncSpec:
-    return FuncSpec(tree, eval_expr(tree, qs.identity(order)))
+def to_funcspec(tree: Node, order: int) -> FuncSpec:
+    return FuncSpec(tree, eval_expr(tree, identity(order)))
 
 
 @dataclass(frozen=True)
@@ -40,13 +39,15 @@ class InversionContext:
     f: FuncSpec
     w_series: TruncSeries
     a: tuple[complex, ...]  # a[n-1] = n * c_n, 1-based in the math
-    order: int
 
 
 def build_context(f: FuncSpec, order: int) -> InversionContext:
+    """Revert f to the given order; DomainError if f's series is shorter."""
+    if f.series.order < order:
+        raise DomainError(f"f carries order {f.series.order}, the reversion asks for {order}")
     w = lagrange_revert(f.series, order)
     a = tuple(n * w[n] for n in range(1, order + 1))
-    return InversionContext(f=f, w_series=w, a=a, order=order)
+    return InversionContext(f=f, w_series=w, a=a)
 
 
 def solve_w_direct(f: FuncSpec, q: complex) -> complex:
@@ -71,7 +72,7 @@ def _q_w_prime(ctx: InversionContext, q: complex) -> complex:
     if tail > 1e-12:
         raise AccuracyLoss(
             f"series tail estimate {tail:.3e} exceeds 1e-12 at |q| = {abs(q):.6g} "
-            f"with w at order {ctx.order}"
+            f"with w at order {ctx.w_series.order}"
         )
     return q * value
 
@@ -89,11 +90,15 @@ _X2_DEN = 11.0 - 5.0 * math.sqrt(5.0)
 
 
 def F1_inverse(a: complex) -> complex:
-    """Closed form via the first Appell function."""
+    """Closed form via the first Appell function; DomainError once a^5
+    overflows the float range."""
     a = complex(a)
     if a == 0:
         return 0j
-    a5 = a**5
+    try:
+        a5 = a**5
+    except OverflowError:
+        raise DomainError(f"F1_inverse at a = {a}: a^5 lies beyond the float range") from None
     x1 = -2.0 * a5 / _X1_DEN
     x2 = -2.0 * a5 / _X2_DEN
     sixth = 1.0 / 6.0

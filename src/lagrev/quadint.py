@@ -98,6 +98,14 @@ class QuadraticPowerIntegral:
         quad = (self.a1 * t + self.b1) * t + self.c1
         return quad ** (-self.mf)
 
+    def root_form(self, t0: complex, span: complex) -> Callable[[float], complex]:
+        """The integrand at parameter distance d from a root t0, on the
+        segment t0 + span*d: quad(t0 + span*d) = span*d*(quad'(t0) +
+        a1*span*d) exactly when quad(t0) = 0, free of the 1 - (1 - d)
+        cancellation there (quad_oracle's from_left/from_right form)."""
+        slope = 2.0 * self.a1 * t0 + self.b1
+        return lambda d: (span * d * (slope + self.a1 * span * d)) ** (-self.mf)
+
 
 @dataclass(frozen=True)
 class BetaPoint:

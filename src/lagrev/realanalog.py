@@ -79,12 +79,6 @@ def L_of(ctx: InversionContext, x: float, lo: float = 0.05, hi: float = 60.0) ->
     return value.real
 
 
-def _richardson_d1(fn, x: float, h: float) -> float:
-    d_h = (fn(x + h) - fn(x - h)) / (2.0 * h)
-    d_h2 = (fn(x + h / 2) - fn(x - h / 2)) / h
-    return (4.0 * d_h2 - d_h) / 3.0
-
-
 def S_residual(
     ctx: InversionContext, x: float, lo: float = 0.05, hi: float = 60.0
 ) -> float:
@@ -96,7 +90,8 @@ def S_residual(
     """
     L = lambda t: L_of(ctx, t, lo, hi)  # noqa: E731
     h1 = 1e-6 * max(1.0, abs(x))
-    lp = _richardson_d1(L, x, h1)
+    d1 = lambda s: (L(x + s) - L(x - s)) / (2.0 * s)  # noqa: E731
+    lp = (4.0 * d1(h1 / 2) - d1(h1)) / 3.0
     h2 = 1e-4 * max(1.0, abs(x))
     lx = L(x)
     d2 = lambda s: (L(x + s) - 2.0 * lx + L(x - s)) / (s * s)  # noqa: E731
@@ -154,10 +149,10 @@ def thm19_oracle(
 
 
 def thm20_residual(
-    ctx: InversionContext, h_map, A: float, l1: float = 0.0, lo: float = 0.05, hi: float = 60.0
+    ctx: InversionContext, A: float, l1: float = 0.0, lo: float = 0.05, hi: float = 60.0
 ) -> float:
-    """|w(exp(-pi sqrt(h(A) - l1))) - L(A)|, L on the bracket [lo, hi]."""
-    shifted = h_map(A) - l1
+    """|w(exp(-pi sqrt(h(A) - l1))) - L(A)|, h and L on the bracket [lo, hi]."""
+    shifted = hi_inverse(ctx, A, lo, hi) - l1
     if shifted <= 0:
         raise DomainError("h(A) - l1 must be positive")
     qv = math.exp(-math.pi * math.sqrt(shifted))
@@ -166,7 +161,7 @@ def thm20_residual(
 
 
 def thm20_fit(
-    ctx: InversionContext, h_map, anchors, lo: float = 0.05, hi: float = 60.0
+    ctx: InversionContext, anchors, lo: float = 0.05, hi: float = 60.0
 ) -> tuple[float, int]:
     """Fit the shift l1 (and report the sign convention).
 
@@ -178,7 +173,7 @@ def thm20_fit(
     for a in anchors:
         level = L_of(ctx, a, lo, hi)
         q = level / eval_expr(ctx.f.tree, level).real
-        shifts.append(h_map(a) - (math.log(q) / math.pi) ** 2)
+        shifts.append(hi_inverse(ctx, a, lo, hi) - (math.log(q) / math.pi) ** 2)
     return sum(shifts) / len(shifts), 1
 
 

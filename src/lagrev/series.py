@@ -36,8 +36,6 @@ from .errors import (
     ZeroAtOrigin,
 )
 
-DEFAULT_MAX_ORDER = 64
-
 
 @dataclass(frozen=True)
 class TruncSeries:
@@ -128,12 +126,6 @@ class TruncSeries:
         if self.order == 0:
             return TruncSeries((self._scalar(0),))
         return TruncSeries(tuple((k + 1) * self.coeffs[k + 1] for k in range(self.order)))
-
-    def integral(self) -> "TruncSeries":
-        """Term-wise antiderivative with zero constant (order grows by 1)."""
-        return TruncSeries(
-            (self._scalar(0),) + tuple(self.coeffs[k] / (k + 1) for k in range(self.order + 1))
-        )
 
 
 def _both_exact(a: TruncSeries, b: TruncSeries) -> bool:
@@ -387,21 +379,9 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-@dataclass(frozen=True)
-class ProductExponents:
-    """Exponents e_1..e_N of the product form prod (1-q^n)^{-e_n}."""
-
-    e: tuple[complex, ...]
-
-    def __getitem__(self, n: int) -> complex:
-        """1-based access: self[n] is e_n."""
-        if not 1 <= n <= len(self.e):
-            raise DomainError(f"exponent index {n} out of range")
-        return self.e[n - 1]
-
-
-def product_exponents(a: Sequence[complex]) -> ProductExponents:
-    """e_n = (1/n) sum_{d|n} mu(n/d) a_d from the 1-indexed list a."""
+def product_exponents(a: Sequence[complex]) -> tuple[complex, ...]:
+    """The exponents (e_1..e_N) of the product form prod (1-q^n)^{-e_n}:
+    e_n = (1/n) sum_{d|n} mu(n/d) a_d from the 1-indexed list a."""
     a = tuple(complex(x) for x in a)
     e = []
     for n in range(1, len(a) + 1):
@@ -409,24 +389,24 @@ def product_exponents(a: Sequence[complex]) -> ProductExponents:
         for d in _divisors(n):
             acc += mobius(n // d) * a[d - 1]
         e.append(acc / n)
-    return ProductExponents(tuple(e))
+    return tuple(e)
 
 
-def invert_exponents(e: ProductExponents) -> tuple[complex, ...]:
+def invert_exponents(e: Sequence[complex]) -> tuple[complex, ...]:
     """Recover a_n = sum_{d|n} d*e_d (Moebius inversion round trip)."""
     out = []
-    for n in range(1, len(e.e) + 1):
-        out.append(sum(d * e.e[d - 1] for d in _divisors(n)))
+    for n in range(1, len(e) + 1):
+        out.append(sum(d * e[d - 1] for d in _divisors(n)))
     return tuple(out)
 
 
-def eval_product(e: ProductExponents, q: complex) -> complex:
+def eval_product(e: Sequence[complex], q: complex) -> complex:
     """prod_{n<=N} (1-q^n)^{-e_n} via the principal logarithm."""
     if abs(q) >= 1:
         raise ConvergenceDomain("product form requires |q| < 1")
     acc = 0j
     qn = 1.0 + 0j
-    for en in e.e:
+    for en in e:
         qn *= q
         if en == 0:
             continue

@@ -202,8 +202,16 @@ _LANCZOS = (
 
 def gamma_fn(x) -> complex:
     """Gamma function; real arguments go through math.gamma, complex ones
-    through reflection plus the shifted Lanczos series."""
+    through reflection plus the shifted Lanczos series.  DomainError where
+    either overflows the float range."""
     x = complex(x)
+    try:
+        return _gamma(x)
+    except OverflowError:
+        raise DomainError(f"gamma at x = {x} lies beyond the float range") from None
+
+
+def _gamma(x: complex) -> complex:
     if x.imag == 0:
         xr = x.real
         if xr <= 0 and xr == int(xr):
@@ -211,7 +219,7 @@ def gamma_fn(x) -> complex:
         return complex(math.gamma(xr))
     if x.real < 0.5:
         # Reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (cmath.sin(math.pi * x) * gamma_fn(1 - x))
+        return math.pi / (cmath.sin(math.pi * x) * _gamma(1 - x))
     x -= 1
     acc = _LANCZOS[0]
     for i, c in enumerate(_LANCZOS[1:], start=1):

@@ -366,14 +366,7 @@ def _check_thm18_calibration() -> _Outcome:
     err = max(err, abs(closed_integral_thm18(q, _INF, 1.0) - math.pi / 2.0))
     a1 = beta_endpoint(q, _INF)
     a2 = beta_endpoint(q, 3.0)
-    span = (a2 - a1).real
-    v, _ = quad_oracle(
-        q.evaluate,
-        a1,
-        a2,
-        # d is parameter distance, so the abscissa is a1 + span*d
-        from_left=lambda d: complex(span * d * (2.0 - span * d)) ** -0.5,
-    )
+    v, _ = quad_oracle(q.evaluate, a1, a2, from_left=q.root_form(a1, a2 - a1))
     return _Outcome(
         max(err, abs(v - math.pi / 4.0)),
         3,
@@ -646,10 +639,9 @@ def _check_thm19_small_r() -> _Outcome:
 
 def _check_thm20_fit() -> _Outcome:
     ctx = _context("1", 8)
-    h_map = lambda a: hi_inverse(ctx, a, 0.05, 60.0)  # noqa: E731
     anchors = [0.02, 0.04, 0.06]
-    l1, sign = thm20_fit(ctx, h_map, anchors)
-    err = max(abs(thm20_residual(ctx, h_map, a, l1)) for a in anchors)
+    l1, sign = thm20_fit(ctx, anchors)
+    err = max(abs(thm20_residual(ctx, a, l1)) for a in anchors)
     return _Outcome(
         err,
         len(anchors),

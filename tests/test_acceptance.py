@@ -40,7 +40,6 @@ from lagrev.realanalog import (
     S_residual,
     build_real_context,
     f1_real_cross,
-    hi_inverse,
     hi_of,
     hi_prime,
     thm19_oracle,
@@ -200,11 +199,7 @@ def test_criterion_09_quadratic_integrals():
     worst = max(worst, abs(closed_integral_thm18(q, INF, 1.0) - math.pi / 2) / 1e-8)
     for r2, target in ((3.0, math.pi / 4), (1.0, math.pi / 2)):
         a1, a2 = beta_endpoint(q, INF), beta_endpoint(q, r2)
-        span = (a2 - a1).real
-        v, _ = quad_oracle(
-            q.evaluate, a1, a2,
-            from_left=lambda d: complex(span * d * (2 - span * d)) ** -0.5,
-        )
+        v, _ = quad_oracle(q.evaluate, a1, a2, from_left=q.root_form(a1, a2 - a1))
         worst = max(worst, abs(v - target) / 1e-8)
     b = beta_r(Fraction(1, 2), 3.0).beta
     worst = max(worst, abs(b - (2 - math.sqrt(2)) / 4) / 1e-10)
@@ -261,9 +256,8 @@ def test_criterion_11_real_analog():
     for a in (1.0, 3.0):
         worst = max(worst, abs(S_residual(exp_ctx, hi_of(exp_ctx, a), 0.2, 60.0)) / 1e-5)
 
-    h_map = lambda a: hi_inverse(unit_ctx, a, 0.05, 60.0)  # noqa: E731
-    l1, _sign = thm20_fit(unit_ctx, h_map, [0.02, 0.04])
-    worst = max(worst, thm20_residual(unit_ctx, h_map, 0.06, l1) / 1e-6)  # held out
+    l1, _sign = thm20_fit(unit_ctx, [0.02, 0.04])
+    worst = max(worst, thm20_residual(unit_ctx, 0.06, l1) / 1e-6)  # held out
     gate(11, "real-analog consistency, level difference, residuals", worst, 1.0)
 
 

@@ -15,6 +15,9 @@ import lagrev
 from lagrev import verify
 from lagrev.cli import _continued_log, main
 from lagrev.errors import BranchError
+from lagrev.expr import parse_expr
+from lagrev.inversion import build_context, to_funcspec
+from lagrev.realanalog import L_of, S_residual, hi_of
 
 
 def run(capsys, *argv):
@@ -111,6 +114,19 @@ class TestIntegral:
         assert out == ""
         assert "finite" in err
 
+    def test_oracle_at_a_singular_right_end(self, capsys):
+        # r2 = inf puts the right end on a root: the oracle takes the
+        # integrand at distance d from it
+        code, out, _ = run(
+            capsys,
+            "integral", "--a1", "-1", "--b1", "0", "--c1", "1",
+            "--m", "1/2", "--r1", "2", "--r2", "inf", "--oracle",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["value_re"] == pytest.approx(-math.pi / 3, abs=1e-10)
+        assert payload["abs_err"] < 1e-12
+
     def test_without_oracle(self, capsys):
         code, out, _ = run(
             capsys,
@@ -176,6 +192,18 @@ class TestReal:
         assert abs(float(values["l1"])) < 1e-12
         assert float(values["residual"]) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "op, fn, extra",
+        [("hi", hi_of, ()), ("L", L_of, (0.2, 60.0)), ("S", S_residual, (0.2, 60.0))],
+    )
+    def test_chain_ops_print_the_library_value(self, capsys, op, fn, extra):
+        ctx = build_context(to_funcspec(parse_expr("exp(A)"), order=24), 24)
+        code, out, _ = run(
+            capsys, "real", "--op", op, "--f", "exp(A)", "--x", "0.02", "--lo", "0.2"
+        )
+        assert code == 0
+        assert float(out) == fn(ctx, 0.02, *extra)
+
     def test_unreachable_band_is_reported(self, capsys):
         code, _, err = run(
             capsys, "real", "--op", "thm19", "--r1", "1", "--r2", "3",
@@ -232,6 +260,22 @@ class TestVerify:
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert run(capsys, "nosuch")[0] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["special", "--fn", "gamma", "--arg", "200"], ["f1", "--mode", "inverse", "--x", "1e70"]],
+        ids=" ".join,
+    )
+    def test_overflow_is_an_error_line(self, argv):
+        # a fresh interpreter, so that an uncaught exception would print
+        # its traceback to stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(lagrev.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "lagrev.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("lagrev: error: ")
+        assert "Traceback" not in done.stderr
 
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "revert")[0] == 1

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from lagrev.errors import AccuracyLoss, PoleError, ZeroAtOrigin
+from lagrev.errors import AccuracyLoss, DomainError, PoleError, ZeroAtOrigin
 from lagrev.expr import parse_expr
 from lagrev.inversion import (
     G_from_P0,
@@ -40,9 +40,16 @@ class TestContext:
             assert abs(via_series + lambert_w(-q)) < 1e-12
 
     def test_newton_rejects_zero_constant(self):
-        f = to_funcspec(parse_expr("A"))
+        f = to_funcspec(parse_expr("A"), order=8)
         with pytest.raises(ZeroAtOrigin):
             solve_w_direct(f, 0.1)
+
+    def test_order_beyond_the_series_of_f(self):
+        # reverting the zero-padded order-4 series of exp(A) to order 8
+        # would give c_6 = 10.791667 against 6^5/6! = 10.8
+        f = to_funcspec(parse_expr("exp(A)"), order=4)
+        with pytest.raises(DomainError, match="f carries order 4, the reversion asks for 8"):
+            build_context(f, 8)
 
 
 class TestReciprocalSeries:
@@ -103,6 +110,12 @@ class TestF1:
         h = 1e-6
         fd = (F1_inverse(y + h) - F1_inverse(y - h)) / (2 * h)
         assert abs(fd - F1_inverse_deriv(y)) < 1e-7
+
+    @pytest.mark.parametrize("fn", [F1_inverse, F1_forward])
+    def test_overflow_is_a_domain_error(self, fn):
+        # F1_forward's Newton steps meet the overflow inside F1_inverse
+        with pytest.raises(DomainError, match=r"a\^5 lies beyond the float range"):
+            fn(1e70)
 
 
 class TestChain:

@@ -126,13 +126,7 @@ class TestClosedIntegral:
     def test_against_quadrature(self, arcsine):
         a1 = beta_endpoint(arcsine, INF)
         a2 = beta_endpoint(arcsine, 3.0)
-        span = (a2 - a1).real
-        value, _ = quad_oracle(
-            arcsine.evaluate,
-            a1,
-            a2,
-            from_left=lambda d: complex(span * d * (2 - span * d)) ** -0.5,
-        )
+        value, _ = quad_oracle(arcsine.evaluate, a1, a2, from_left=arcsine.root_form(a1, a2 - a1))
         assert abs(value - math.pi / 4) < 1e-10
 
     def test_antiderivative_matches_omega(self, arcsine):
@@ -163,9 +157,7 @@ def test_real_a1_positive_c1_negative_against_quadrature(b1, m, r1):
     kwargs = {}
     if r1 == INF:
         # a1 is a root of the quadratic: evaluate at distance d from it
-        span = a2 - a1
-        slope = 2.0 * q.a1 * a1 + q.b1
-        kwargs = dict(from_left=lambda d: (span * d * (slope + q.a1 * span * d)) ** -float(m))
+        kwargs = dict(from_left=q.root_form(a1, a2 - a1))
     direct, _ = quad_oracle(q.evaluate, a1, a2, **kwargs)
     assert abs(closed - direct) < 1e-9 * max(1.0, abs(direct))
 

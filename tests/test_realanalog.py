@@ -150,17 +150,15 @@ class TestLevelDifference:
 
 class TestShiftFit:
     def test_recovers_zero_shift(self, unit_ctx):
-        h_map = lambda a: hi_inverse(unit_ctx, a, 0.05, 60.0)  # noqa: E731
-        l1, sign = thm20_fit(unit_ctx, h_map, [0.02, 0.04])
+        l1, sign = thm20_fit(unit_ctx, [0.02, 0.04])
         assert abs(l1) < 1e-8
         assert sign == 1
         # held-out point
-        assert thm20_residual(unit_ctx, h_map, 0.06, l1) < 1e-8
+        assert thm20_residual(unit_ctx, 0.06, l1) < 1e-8
 
     def test_shift_domain_guard(self, unit_ctx):
-        h_map = lambda a: hi_inverse(unit_ctx, a, 0.05, 60.0)  # noqa: E731
         with pytest.raises(DomainError):
-            thm20_residual(unit_ctx, h_map, 0.04, l1=10.0)
+            thm20_residual(unit_ctx, 0.04, l1=10.0)
 
 
 class TestModularBridge:

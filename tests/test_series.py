@@ -239,10 +239,6 @@ class TestSeriesAlgebra:
         with pytest.raises(DegenerateSeries):
             qs.s_log(qs.identity(4))
 
-    def test_derivative_integral_round_trip(self):
-        s = qs.TruncSeries((0j, 1 + 0j, 2 + 0j, 3 + 0j))
-        assert s.integral().derivative().coeffs[: s.order + 1] == s.coeffs
-
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         st.lists(

@@ -194,6 +194,23 @@ class TestGamma:
         x = 0.3
         assert abs(sf.gamma_fn(x) * sf.gamma_fn(1 - x) - math.pi / math.sin(math.pi * x)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "z, expected",
+        [
+            # mpmath gamma at 40 digits; Re z < 1/2 goes through the reflection
+            (0.5 + 1j, 0.30069461726065582 - 0.42496787943312381j),
+            (-2.5 + 0.3j, -0.61382299743774149 - 0.21123261493704178j),
+            (3 + 4j, 0.0052255384713692142 - 0.17254707929430019j),
+        ],
+    )
+    def test_complex_against_mpmath(self, z, expected):
+        assert abs(sf.gamma_fn(z) - expected) < 1e-14 * abs(expected)
+
+    @pytest.mark.parametrize("x", [200.0, 171.7 + 0.5j])
+    def test_overflow_is_a_domain_error(self, x):
+        with pytest.raises(DomainError, match=r"gamma at x = .* lies beyond the float range"):
+            sf.gamma_fn(x)
+
 
 def _plain_maclaurin(a, b, c, x):
     """2F1(a, b; c; x) by its Maclaurin series alone, to the last bit."""
@@ -772,6 +789,20 @@ class TestLambertW:
         w = sf.lambert_w(-0.1, branch=-1)
         assert w.real < -1.0
         assert abs(w * cmath.exp(w) + 0.1) < 1e-12
+
+    @pytest.mark.parametrize(
+        "x, branch, expected",
+        [
+            # mpmath lambertw at 40 digits: the branch-point seed of branch 0
+            # below -1/4, and the logarithmic seed of branch -1 above -0.1
+            (-0.3, 0, -0.48940222718021493),
+            (-0.36, 0, -0.80608431597081762),
+            (-0.05, -1, -4.4997552885234875),
+            (-1e-5, -1, -14.163600815810183),
+        ],
+    )
+    def test_seeds_against_mpmath(self, x, branch, expected):
+        assert abs(sf.lambert_w(x, branch) - expected) < 1e-15 * abs(expected)
 
 
 class TestRogersRamanujan:

@@ -116,11 +116,15 @@ def F1_inverse_deriv(y: complex) -> complex:
 def F1_forward(x: complex) -> complex:
     """Inverse of F1_inverse: quadrature's newton to |residual| < 1e-12
     with the exact derivative F1_inverse_deriv, from the leading-order
-    seed (x/6)^(6/5)."""
+    seed (x/6)^(6/5); a DomainError at an iterate names this x."""
     x = complex(x)
     if x == 0:
         return 0j
-    return newton(lambda y: F1_inverse(y) - x, F1_inverse_deriv, (x / 6.0) ** (6.0 / 5.0), 1e-12)
+    seed = (x / 6.0) ** (6.0 / 5.0)
+    try:
+        return newton(lambda y: F1_inverse(y) - x, F1_inverse_deriv, seed, 1e-12)
+    except DomainError as exc:
+        raise DomainError(f"F1_forward at x = {x}: {exc}") from None
 
 
 def y_of(ctx: InversionContext, z) -> complex:

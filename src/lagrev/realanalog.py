@@ -71,12 +71,15 @@ def hi_inverse(
     return newton_decreasing(g, lambda t: hi_prime(ctx, t), lo, hi, 0.5 * (lo + hi))
 
 
+def _w_real(ctx: InversionContext, t: float) -> float:
+    """w at the real nome exp(-pi sqrt(t))."""
+    value, _tail = eval_series(ctx.w_series, _real_nome(t))
+    return value.real
+
+
 def L_of(ctx: InversionContext, x: float, lo: float = 0.05, hi: float = 60.0) -> float:
     """L(x) = w(exp(-pi sqrt(h(x)))) with h the inverse of h_i."""
-    t = hi_inverse(ctx, x, lo, hi)
-    q = math.exp(-math.pi * math.sqrt(t))
-    value, _tail = eval_series(ctx.w_series, q)
-    return value.real
+    return _w_real(ctx, hi_inverse(ctx, x, lo, hi))
 
 
 def S_residual(
@@ -93,11 +96,12 @@ def S_residual(
     d1 = lambda s: (L(x + s) - L(x - s)) / (2.0 * s)  # noqa: E731
     lp = (4.0 * d1(h1 / 2) - d1(h1)) / 3.0
     h2 = 1e-4 * max(1.0, abs(x))
-    lx = L(x)
+    tx = hi_inverse(ctx, x, lo, hi)
+    lx = _w_real(ctx, tx)
     d2 = lambda s: (L(x + s) - 2.0 * lx + L(x - s)) / (s * s)  # noqa: E731
     lpp = (4.0 * d2(h2 / 2) - d2(h2)) / 3.0
     left = -lpp / lp**3 + 1.0 / (math.pi**2 * lx)
-    hprime = 1.0 / hi_prime(ctx, hi_inverse(ctx, x, lo, hi))
+    hprime = 1.0 / hi_prime(ctx, tx)
     right = 0.5 / math.pi**2 * (hprime + 2.0 / lx)
     return left - right
 
@@ -152,12 +156,10 @@ def thm20_residual(
     ctx: InversionContext, A: float, l1: float = 0.0, lo: float = 0.05, hi: float = 60.0
 ) -> float:
     """|w(exp(-pi sqrt(h(A) - l1))) - L(A)|, h and L on the bracket [lo, hi]."""
-    shifted = hi_inverse(ctx, A, lo, hi) - l1
-    if shifted <= 0:
+    t = hi_inverse(ctx, A, lo, hi)
+    if t - l1 <= 0:
         raise DomainError("h(A) - l1 must be positive")
-    qv = math.exp(-math.pi * math.sqrt(shifted))
-    w, _tail = eval_series(ctx.w_series, qv)
-    return abs(w.real - L_of(ctx, A, lo, hi))
+    return abs(_w_real(ctx, t - l1) - _w_real(ctx, t))
 
 
 def thm20_fit(
@@ -171,9 +173,10 @@ def thm20_fit(
     """
     shifts = []
     for a in anchors:
-        level = L_of(ctx, a, lo, hi)
+        t = hi_inverse(ctx, a, lo, hi)
+        level = _w_real(ctx, t)
         q = level / eval_expr(ctx.f.tree, level).real
-        shifts.append(hi_inverse(ctx, a, lo, hi) - (math.log(q) / math.pi) ** 2)
+        shifts.append(t - (math.log(q) / math.pi) ** 2)
     return sum(shifts) / len(shifts), 1
 
 

@@ -21,6 +21,7 @@ from .errors import (
     NoConvergence,
     PoleError,
 )
+from .quadrature import newton
 
 _TWO_PI_I = 2j * math.pi
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -138,13 +139,11 @@ def mstar(z) -> complex:
 
 
 def k_r(r: float) -> float:
-    """Singular modulus k_r at the real nome e^{-pi sqrt(r)}: (theta2/theta3)^2
-    at tau = i sqrt(r), from one modular reduction (_thetas), which maps
-    r < 1 to 1/r."""
+    """Singular modulus k_r at the real nome e^{-pi sqrt(r)}: mstar at
+    z = i sqrt(r)."""
     if not r > 0:
         raise DomainError("k_r requires r > 0")
-    t2, t3, _ = _thetas(complex(0.0, math.sqrt(r)))
-    return ((t2 / t3) ** 2).real
+    return mstar(complex(0.0, math.sqrt(r))).real
 
 
 _ETA_CHI = (1, 1, 1, 1, 1)
@@ -206,9 +205,12 @@ def gamma_fn(x) -> complex:
     either overflows the float range."""
     x = complex(x)
     try:
-        return _gamma(x)
+        value = _gamma(x)
     except OverflowError:
-        raise DomainError(f"gamma at x = {x} lies beyond the float range") from None
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise DomainError(f"gamma at x = {x} lies beyond the float range")
+    return value
 
 
 def _gamma(x: complex) -> complex:
@@ -225,7 +227,7 @@ def _gamma(x: complex) -> complex:
     for i, c in enumerate(_LANCZOS[1:], start=1):
         acc += c / (x + i)
     t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2 * math.pi) * t ** (x + 0.5) * cmath.exp(-t) * acc
+    return math.sqrt(2 * math.pi) * cmath.exp((x + 0.5) * cmath.log(t) - t) * acc
 
 
 # Term cap of the hypergeometric sums and of the incomplete-beta
@@ -555,46 +557,33 @@ _BRANCH_POINT = -1.0 / math.e
 
 
 def lambert_w(x, branch: int = 0) -> complex:
-    """Lambert W via Halley iteration; branches 0 and -1."""
+    """Lambert W on branches 0 and -1: quadrature's newton on w e^w/x - 1
+    from _lambert_seed, to the rounding of w e^w, 1e-14 (1 + |seed|)."""
     if branch not in (0, -1):
         raise BranchError("only branches 0 and -1 are supported")
     x = complex(x)
-    if branch == -1:
-        if x.imag != 0 or not (_BRANCH_POINT < x.real < 0):
-            raise BranchError("branch -1 requires real x in (-1/e, 0)")
+    if branch == -1 and (x.imag != 0 or not _BRANCH_POINT < x.real < 0):
+        raise BranchError("branch -1 requires real x in (-1/e, 0)")
     if x == 0:
-        if branch == -1:
-            raise BranchError("W_{-1}(0) does not exist")
         return 0j
-    if x.imag == 0 and x.real == _BRANCH_POINT:
-        return complex(-1.0)
-
     w = _lambert_seed(x, branch)
-    for _ in range(100):
-        ew = cmath.exp(w)
-        f = w * ew - x
-        if abs(f) <= 1e-14 * max(abs(x), 1e-290):
-            return w
-        wp1 = w + 1
-        w = w - f / (ew * wp1 - (w + 2) * f / (2 * wp1))
-    raise NoConvergence("Lambert W Halley iteration stalled")
+    g = lambda w: w * cmath.exp(w) / x - 1  # noqa: E731
+    return newton(g, lambda w: cmath.exp(w) * (w + 1) / x, w, 1e-14 * (1 + abs(w)))
 
 
 def _lambert_seed(x: complex, branch: int) -> complex:
-    if branch == 0:
-        if abs(x) < 0.25:
-            return x * (1 - x.real)
-        if x.imag == 0 and x.real < 0:
-            p = math.sqrt(2 * (math.e * x.real + 1))
-            return -1 + p - p * p / 3
-        lx = cmath.log(x)
-        return lx - cmath.log(lx) if abs(x) > math.e else lx
-    xr = x.real
-    if xr > -0.1:
-        lx = math.log(-xr)
-        return complex(lx - math.log(-lx))
-    p = math.sqrt(2 * (math.e * xr + 1))
-    return complex(-1 - p - p * p / 3)
+    """The seeds of Corless et al. (Adv. Comput. Math. 5, 1996): the
+    branch-point series in p = +-sqrt(2(e x + 1)) near -1/e, a Pade form
+    about 0 on branch 0, and L1 - L2 + L2/L1 with L1 = log x, L2 = log L1
+    elsewhere (log(-x), log(-L1) on branch -1)."""
+    if abs(x - _BRANCH_POINT) < 0.3:
+        p = (1 + 2 * branch) * cmath.sqrt(2 * (math.e * x + 1))
+        return -1 + p - p * p / 3 + 11 / 72 * p**3
+    if branch == 0 and -1 < x.real < 3 and abs(x.imag) < 1 and x.real > -2.5 * abs(x.imag) - 0.2:
+        return x * (3 + 6 * x + x * x) / (3 + 9 * x + 5 * x * x)
+    l1 = cmath.log(-x if branch else x)
+    l2 = cmath.log(-l1 if branch else l1)
+    return l1 - l2 + l2 / l1
 
 
 def rogers_ramanujan(q) -> complex:

@@ -89,6 +89,12 @@ class TestF1:
         assert code == 0
         assert float(out2) == pytest.approx(0.2, abs=1e-10)
 
+    def test_forward_domain_error_names_the_given_x(self, capsys):
+        # the overflow happens at a Newton iterate near 1.2e83
+        code, out, err = run(capsys, "f1", "--mode", "forward", "--x", "1e70")
+        assert code == 1 and out == ""
+        assert err.startswith("lagrev: error: F1_forward at x = (1e+70+0j): ")
+
 
 class TestIntegral:
     def test_arcsine_calibration(self, capsys):

@@ -160,6 +160,27 @@ class TestShiftFit:
         with pytest.raises(DomainError):
             thm20_residual(unit_ctx, 0.04, l1=10.0)
 
+    def test_each_level_is_solved_once(self, unit_ctx, monkeypatch):
+        # h(A) is solved once per point, and both w and h' are read there
+        solve = hi_inverse
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return solve(*args)
+
+        monkeypatch.setattr(lagrev.realanalog, "hi_inverse", counted)
+        l1, _sign = thm20_fit(unit_ctx, [0.02, 0.04])
+        assert calls == [0.02, 0.04]
+        calls.clear()
+        thm20_residual(unit_ctx, 0.06, l1)
+        assert calls == [0.06]
+        calls.clear()
+        x = hi_of(unit_ctx, 1.5)
+        S_residual(unit_ctx, x)
+        # eight finite-difference neighbours and x itself
+        assert len(calls) == 9 and calls.count(x) == 1
+
 
 class TestModularBridge:
     def test_abscissa_anchors(self):

@@ -11,7 +11,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lagrev import specfun as sf
-from lagrev.errors import AccuracyLoss, ConvergenceDomain, DomainError, NoConvergence
+from lagrev.errors import (
+    AccuracyLoss,
+    BranchError,
+    ConvergenceDomain,
+    DomainError,
+    NoConvergence,
+)
 from lagrev.quadint import beta_r
 from lagrev.quadrature import quad_oracle
 
@@ -205,6 +211,19 @@ class TestGamma:
     )
     def test_complex_against_mpmath(self, z, expected):
         assert abs(sf.gamma_fn(z) - expected) < 1e-14 * abs(expected)
+
+    @pytest.mark.parametrize(
+        "z, expected",
+        [
+            # mpmath gamma at 30 digits, up to the float edge near Re z = 171.6
+            (150 + 0.5j, -3.05723687231260647561901537e260 + 2.26648496280973012045444757e260j),
+            (171.6 + 0.5j, -1.33379345317009240998533387e308 + 8.55798971150236744186642494e307j),
+        ],
+    )
+    def test_large_complex_against_mpmath(self, z, expected):
+        # the exponent (z + 1/2) log t, near 880, carries its rounding into
+        # the relative error
+        assert abs(sf.gamma_fn(z) - expected) < 1e-13 * abs(expected)
 
     @pytest.mark.parametrize("x", [200.0, 171.7 + 0.5j])
     def test_overflow_is_a_domain_error(self, x):
@@ -793,8 +812,9 @@ class TestLambertW:
     @pytest.mark.parametrize(
         "x, branch, expected",
         [
-            # mpmath lambertw at 40 digits: the branch-point seed of branch 0
-            # below -1/4, and the logarithmic seed of branch -1 above -0.1
+            # mpmath lambertw at 40 digits: the branch-point seed on both
+            # branches within 0.3 of -1/e, and the logarithmic seed of
+            # branch -1 beyond it
             (-0.3, 0, -0.48940222718021493),
             (-0.36, 0, -0.80608431597081762),
             (-0.05, -1, -4.4997552885234875),
@@ -803,6 +823,45 @@ class TestLambertW:
     )
     def test_seeds_against_mpmath(self, x, branch, expected):
         assert abs(sf.lambert_w(x, branch) - expected) < 1e-15 * abs(expected)
+
+    @pytest.mark.parametrize(
+        "x, branch, expected",
+        [
+            # mpmath lambertw at 30 digits; each of these once took the wrong
+            # branch, stalled past a 1e-14 residual or raised a bare ValueError
+            (0.3078450670676809 + 0.23112540915714153j, 0,
+             0.2602267284097451538 + 0.14262765025168350438j),
+            (1.9255630303276417e154, 0, 349.39711359271886622),
+            (-8.431225131063911e-280, -1, -649.06742054201804643),
+            (-0.5, 0, -0.79402363234468936796 + 0.77011175051037910968j),
+            (1.5500654954621413 - 0.14953378007319132j, 0,
+             0.74106744343444592357 - 0.040958418197200935613j),
+        ],
+    )
+    def test_hard_points_against_mpmath(self, x, branch, expected):
+        assert abs(sf.lambert_w(x, branch) - expected) <= 4.5e-16 * abs(expected)
+
+    def test_branch_point_and_lower_branch_at_zero(self):
+        assert sf.lambert_w(-1 / math.e) == -1
+        with pytest.raises(BranchError):
+            sf.lambert_w(0, -1)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        st.floats(min_value=-300.0, max_value=300.0),
+        st.floats(min_value=-math.pi, max_value=math.pi),
+    )
+    def test_principal_branch_over_the_float_range(self, decade, phase):
+        x = 10.0**decade * cmath.exp(1j * phase)
+        w = sf.lambert_w(x)
+        assert abs(w * cmath.exp(w) - x) <= 1e-13 * (1 + abs(w)) * abs(x)
+        # the image of W_0: the real ray w >= -1 and, off it, the region
+        # right of the curve -y cot(y) + iy, |y| < pi
+        y = w.imag
+        if y == 0:
+            assert w.real >= -1
+        else:
+            assert abs(y) < math.pi and w.real > -y / math.tan(y)
 
 
 class TestRogersRamanujan:

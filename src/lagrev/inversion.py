@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import AccuracyLoss, DomainError, PoleError, ZeroAtOrigin
+from .errors import AccuracyLoss, DomainError, NoConvergence, PoleError, ZeroAtOrigin
 from .expr import Node, eval_expr
 from .quadrature import newton
 from .series import TruncSeries, eval_series, identity, lagrange_revert
@@ -62,24 +62,28 @@ def solve_w_direct(f: FuncSpec, q: complex) -> complex:
         fw, fprime = eval_expr(f.tree, TruncSeries((w, 1))).coeffs
         return (fw - w * fprime) / (fw * fw)
 
-    return newton(lambda w: w / eval_expr(f.tree, w) - q, slope, complex(q) * f0, 1e-13)
+    try:
+        return newton(lambda w: w / eval_expr(f.tree, w) - q, slope, complex(q) * f0, 1e-13)
+    except ZeroDivisionError:
+        raise NoConvergence(f"solve_w_direct at q = {q}: f(w) vanishes at an iterate") from None
 
 
-def _q_w_prime(ctx: InversionContext, q: complex) -> complex:
-    """q w'(q) = sum a_n q^n; AccuracyLoss once the tail estimate of the
-    series w' exceeds 1e-12."""
-    value, tail = eval_series(TruncSeries(ctx.a), q)
+def _check_w_prime_tail(ctx: InversionContext, tail: float, q: complex) -> None:
+    """AccuracyLoss once the tail estimate of the series w' at q passes 1e-12."""
     if tail > 1e-12:
         raise AccuracyLoss(
             f"series tail estimate {tail:.3e} exceeds 1e-12 at |q| = {abs(q):.6g} "
             f"with w at order {ctx.w_series.order}"
         )
-    return q * value
 
 
 def p_of_z(ctx: InversionContext, z) -> complex:
-    """P = 1/(q w'(q)) at q = e(z), with q w'(q) = sum a_n q^n."""
-    qw = _q_w_prime(ctx, e_map(z))
+    """P = 1/(q w'(q)) at q = e(z), with q w'(q) = sum a_n q^n;
+    AccuracyLoss once the tail estimate of the series w' exceeds 1e-12."""
+    q = e_map(z)
+    value, tail = eval_series(TruncSeries(ctx.a), q)
+    _check_w_prime_tail(ctx, tail, q)
+    qw = q * value
     if qw == 0:
         raise PoleError("q w'(q) vanishes; P has a pole here")
     return 1.0 / qw
@@ -97,12 +101,13 @@ def F1_inverse(a: complex) -> complex:
         return 0j
     try:
         a5 = a**5
+        power = a ** (5.0 / 6.0)
     except OverflowError:
         raise DomainError(f"F1_inverse at a = {a}: a^5 lies beyond the float range") from None
     x1 = -2.0 * a5 / _X1_DEN
     x2 = -2.0 * a5 / _X2_DEN
     sixth = 1.0 / 6.0
-    return 6.0 * a ** (5.0 / 6.0) * appell_f1(sixth, sixth, sixth, 7.0 / 6.0, x1, x2)
+    return 6.0 * power * appell_f1(sixth, sixth, sixth, 7.0 / 6.0, x1, x2)
 
 
 def F1_inverse_deriv(y: complex) -> complex:
@@ -116,13 +121,15 @@ def F1_inverse_deriv(y: complex) -> complex:
 def F1_forward(x: complex) -> complex:
     """Inverse of F1_inverse: quadrature's newton to |residual| < 1e-12
     with the exact derivative F1_inverse_deriv, from the leading-order
-    seed (x/6)^(6/5); a DomainError at an iterate names this x."""
+    seed (x/6)^(6/5); a DomainError at an iterate, or an overflow, names x."""
     x = complex(x)
     if x == 0:
         return 0j
-    seed = (x / 6.0) ** (6.0 / 5.0)
     try:
+        seed = (x / 6.0) ** (6.0 / 5.0)
         return newton(lambda y: F1_inverse(y) - x, F1_inverse_deriv, seed, 1e-12)
+    except OverflowError:
+        raise DomainError(f"F1_forward at x = {x}: the solve leaves the float range") from None
     except DomainError as exc:
         raise DomainError(f"F1_forward at x = {x}: {exc}") from None
 

@@ -43,6 +43,9 @@ class QuadraticPowerIntegral:
         object.__setattr__(self, "b1", complex(self.b1))
         object.__setattr__(self, "c1", complex(self.c1))
         object.__setattr__(self, "m", Fraction(self.m))
+        for name, value in (("a1", self.a1), ("b1", self.b1), ("c1", self.c1)):
+            if not cmath.isfinite(value):
+                raise DomainError(f"coefficient {name} must be finite, got {value}")
         if not (0 < self.m < 1):
             raise DomainError("the exponent m must lie strictly in (0, 1)")
         if self.a1 == 0:
@@ -53,6 +56,10 @@ class QuadraticPowerIntegral:
     @functools.cached_property
     def mf(self) -> float:
         return float(self.m)
+
+    @functools.cached_property
+    def alpha(self) -> float:  # the equal beta parameters 1 - m
+        return float(1 - self.m)
 
     @functools.cached_property
     def D1(self) -> complex:
@@ -90,8 +97,7 @@ class QuadraticPowerIntegral:
 
     @property
     def gamma_factor(self) -> float:
-        alpha = 1 - self.m
-        return gamma_fn(float(alpha)) ** 2 / gamma_fn(float(2 * alpha))
+        return gamma_fn(self.alpha) ** 2 / gamma_fn(2 * self.alpha)
 
     def evaluate(self, t: complex) -> complex:
         """The integrand (a1 t^2 + b1 t + c1)^(-m), principal power."""
@@ -145,13 +151,14 @@ def beta_r(m: Fraction, r: float) -> BetaPoint:
     B0(1-u) = B - B0(u) for the complete value B = B(alpha, alpha), so
     the equation is B0(u) = B/(1+s).  Bracketed Newton solves
     g(v) = B/(1+s) - B0(e^v), dg/dv = -u^alpha (1-u)^(alpha-1), in
-    v = log u on [log(float_min), log(1/2)], from the seed
-    log(alpha B/(1+s))/alpha of the leading term B0(u) ~ u^alpha/alpha,
-    clamped to that bracket.  No evaluation lies beyond x = 1/2, the mean
-    of equal parameters: each B0(u) is one continued fraction, B itself
-    the two met at x = 1/2 (see inc_beta), and no step of the solve
-    reaches quadrature.  NoConvergence unless the ratio residual
-    |sqrt(B/B0(u) - 1) - sqrt(s)| is at most 1e-10.
+    v = log u on [log(float_min), log(1/2)].  Its seed is one Newton step
+    on the first two terms of B0(u) = (u^alpha/alpha)(1 + c u + ...),
+    c = alpha(1-alpha)/(alpha+1) (DLMF 8.17.8), from the root
+    v0 = log(alpha B/(1+s))/alpha of the first, clamped to that bracket.
+    No evaluation lies beyond x = 1/2, the mean of equal parameters: each
+    B0(u) is one continued fraction, B itself the two met at x = 1/2 (see
+    inc_beta), and no step of the solve reaches quadrature.  NoConvergence
+    unless the ratio residual |sqrt(B/B0(u) - 1) - sqrt(s)| is at most 1e-10.
     """
     m = Fraction(m)
     if not (0 < m < 1):
@@ -164,15 +171,14 @@ def beta_r(m: Fraction, r: float) -> BetaPoint:
     complete = ib(1.0)
     target = complete / (1.0 + s)
 
-    def g(v: float) -> float:
-        return target - ib(math.exp(v))
-
-    def dg(v: float) -> float:
+    def g(v: float) -> tuple[float, float]:
         u = math.exp(v)
-        return -(u**alpha) * (1.0 - u) ** (alpha - 1.0)
+        return target - ib(u), -(u**alpha) * (1.0 - u) ** (alpha - 1.0)
 
-    seed = min(max(math.log(alpha * target) / alpha, _LOG_TINY), _LOG_HALF)
-    u = math.exp(newton_decreasing(g, dg, _LOG_TINY, _LOG_HALF, seed))
+    v0 = math.log(alpha * target) / alpha
+    e = alpha * (1.0 - alpha) / (alpha + 1.0) * math.exp(v0)
+    seed = min(max(v0 - math.log1p(e) / (alpha + e / (1.0 + e)), _LOG_TINY), _LOG_HALF)
+    u = math.exp(newton_decreasing(g, _LOG_TINY, _LOG_HALF, seed))
     residual = abs(math.sqrt(complete / ib(u) - 1.0) - math.sqrt(s))
     if residual > 1e-10:
         raise NoConvergence(f"beta_r residual {residual:.3e} did not reach 1e-10")
@@ -184,8 +190,7 @@ def U_antideriv(q: QuadraticPowerIntegral, x: complex) -> complex:
     s = (-q.b1 + q.sqrt_D1 - 2.0 * q.a1 * complex(x)) / (2.0 * q.sqrt_D1)
     if abs(s.imag) < 1e-300 and s.real >= 1.0:
         raise BranchError("B0 argument on the cut [1, oo)")
-    alpha = float(1 - q.m)
-    return q.prefactor * inc_beta(s, alpha, alpha)
+    return q.prefactor * inc_beta(s, q.alpha, q.alpha)
 
 
 def omega(q: QuadraticPowerIntegral, z: complex) -> complex:

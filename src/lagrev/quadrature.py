@@ -201,18 +201,18 @@ _NEWTON_EVALS = 100
 
 
 def newton_decreasing(
-    g: Callable[[float], float], dg: Callable[[float], float], lo: float, hi: float, t: float
+    g: Callable[[float], tuple[float, float]], lo: float, hi: float, t: float
 ) -> float:
-    """Root of a strictly decreasing g on [lo, hi], g(lo) > 0 > g(hi).
+    """Root of a strictly decreasing function on [lo, hi], positive at lo
+    and negative at hi; g(t) returns its value and analytic derivative.
 
-    Newton steps with the analytic derivative dg from t; each g value
-    shrinks the bracket by its sign, and a step that would leave the
-    bracket bisects it instead.  The last step is taken and the search
-    stops once it is within 16 ulps of the iterate or the bracket is that
-    narrow; NoConvergence after 100 evaluations of g.
+    Newton steps from t; each value shrinks the bracket by its sign, and a
+    step that would leave the bracket bisects it instead.  The last step
+    is taken and the search stops once it is within 16 ulps of the
+    iterate or the bracket is that narrow; NoConvergence after 100 calls.
     """
     for _ in range(_NEWTON_EVALS):
-        gt = g(t)
+        gt, slope = g(t)
         if gt > 0.0:
             lo = t
         elif gt < 0.0:
@@ -220,7 +220,7 @@ def newton_decreasing(
         elif gt == 0.0:
             return t
         tol = 16.0 * math.ulp(t)
-        step = gt / dg(t)
+        step = gt / slope
         if abs(step) <= tol or hi - lo <= tol:
             return t - step if lo <= t - step <= hi else t
         t -= step

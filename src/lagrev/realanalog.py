@@ -10,14 +10,15 @@ All free additive constants are fitted, never derived.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError, NoBracket, NonMonotone
 from .expr import eval_expr
-from .inversion import F1_forward, InversionContext, _q_w_prime, build_context
+from .inversion import F1_forward, InversionContext, _check_w_prime_tail, build_context
 from .quadint import QuadraticPowerIntegral, U_antideriv, beta_endpoint
 from .quadrature import newton_decreasing, quad_oracle
 from .series import eval_series
-from .specfun import inc_beta, k_r, rogers_ramanujan, theta3
+from .specfun import inc_beta, k_r, lambert_w, rogers_ramanujan, theta3
 
 
 # perfbench's thm19 workload calls realanalog.build_real_context; the real
@@ -25,55 +26,75 @@ from .specfun import inc_beta, k_r, rogers_ramanujan, theta3
 build_real_context = build_context
 
 
-def _real_nome(A: float) -> float:
-    """The real nome q = exp(-pi sqrt(A)); DomainError unless A > 0."""
+def _sqrt_abscissa(A) -> float:
+    """sqrt(A) for the real nome q = exp(-pi sqrt(A)); DomainError unless A > 0."""
+    A = float(A)
     if not A > 0:
         raise DomainError("the real nome requires A > 0")
-    return math.exp(-math.pi * math.sqrt(A))
+    return math.sqrt(A)
+
+
+def _level(ctx: InversionContext, s: float) -> tuple[float, float, float]:
+    """(h_i, h_i', tail) at A = s^2 from one Horner pass over a_n at q = exp(-pi s);
+    tail is eval_series's estimate |a_N| q^N/(1 - q) for the series w'."""
+    q = math.exp(-math.pi * s)
+    p0 = p1 = p2 = 0.0
+    for n in range(len(ctx.a), 0, -1):
+        a = ctx.a[n - 1].real
+        p0, p1, p2 = p0 * q + a, p1 * q + a / n, p2 * q + a / (n * n)
+    tail = abs(ctx.a[-1]) * q ** len(ctx.a) / (1.0 - q)
+    return q * p2 / math.pi**2 + s / math.pi * (q * p1), -0.5 * (q * p0), tail
 
 
 def hi_prime(ctx: InversionContext, A) -> float:
     """h_i'(A) = -(1/2) q w'(q) at q = exp(-pi sqrt(A)), with
-    q w'(q) = sum a_n q^n."""
-    return -0.5 * _q_w_prime(ctx, _real_nome(float(A))).real
+    q w'(q) = sum a_n q^n; AccuracyLoss past a w' tail of 1e-12."""
+    s = _sqrt_abscissa(A)
+    _h, slope, tail = _level(ctx, s)
+    _check_w_prime_tail(ctx, tail, math.exp(-math.pi * s))
+    return slope
 
 
 def hi_of(ctx: InversionContext, A) -> float:
     """h_i(A) = pi^-2 sum a_n q^n/n^2 + (sqrt(A)/pi) sum a_n q^n/n."""
-    A = float(A)
-    q = _real_nome(A)
-    s2 = 0.0
-    s1 = 0.0
-    qn = 1.0
-    for n, a in enumerate(ctx.a, start=1):
-        qn *= q
-        s2 += a.real * qn / (n * n)
-        s1 += a.real * qn / n
-    return s2 / math.pi**2 + math.sqrt(A) / math.pi * s1
+    return _level(ctx, _sqrt_abscissa(A))[0]
 
 
-def hi_inverse(
-    ctx: InversionContext, target: float, lo: float = 0.05, hi: float = 60.0
-) -> float:
-    """Solve h_i(t) = target on [lo, hi]: bracketed Newton with the
-    derivative hi_prime from the midpoint.  h_i must be strictly
-    decreasing on the bracket (else NonMonotone) and its range there
-    must hold the target (else NoBracket)."""
-    flo = hi_of(ctx, lo)
-    fhi = hi_of(ctx, hi)
+def hi_inverse(ctx: InversionContext, target: float, lo: float = 0.05, hi: float = 60.0) -> float:
+    """Solve h_i(t) = target on [lo, hi]: bracketed Newton on log(h_i(s^2)/target)
+    in s = sqrt(t), slope 2 s h_i'/h_i, from the root s = (-W_{-1}(-pi^2 target/(e a_1))
+    - 1)/pi of the one-term model a_1 e^(-pi s)(1/pi^2 + s/pi) = target (h_i itself for
+    f = 1), clamped to the bracket, or from sqrt(lo) where the model has no root.  h_i
+    must be strictly decreasing (else NonMonotone) and positive (else DomainError) on
+    the bracket, its range there holding the target (else NoBracket).  The w' tail rule
+    of hi_prime is checked once, at the root: elsewhere the slope only steers Newton."""
+    flo, fhi = hi_of(ctx, lo), hi_of(ctx, hi)
     if flo <= fhi:
         raise NonMonotone("h_i is not decreasing on the requested bracket")
     if not (fhi <= target <= flo):
-        raise NoBracket(
-            f"target {target:.6g} outside the h_i range [{fhi:.6g}, {flo:.6g}]"
-        )
-    g = lambda t: hi_of(ctx, t) - target  # noqa: E731
-    return newton_decreasing(g, lambda t: hi_prime(ctx, t), lo, hi, 0.5 * (lo + hi))
+        raise NoBracket(f"target {target:.6g} outside the h_i range [{fhi:.6g}, {flo:.6g}]")
+    if not fhi > 0:
+        raise DomainError(f"h_i must be positive on the bracket, h_i({hi:.6g}) = {fhi:.6g}")
+
+    def g(s: float) -> tuple[float, float]:
+        h, slope, _tail = _level(ctx, s)
+        if not h > 0:
+            raise NonMonotone(f"h_i is not decreasing on the bracket: h_i({s * s:.6g}) = {h:.6g}")
+        return math.log(h / target), 2.0 * s * slope / h
+
+    s_lo, s_hi = math.sqrt(lo), math.sqrt(hi)
+    seed, a1, k = s_lo, ctx.a[0].real, math.pi**2 * target
+    if k < a1:  # -1/e < z < 0, the model's root; z kept off -1/e and the subnormals
+        z = min(max(-k / (math.e * a1), math.nextafter(-1 / math.e, 0.0)), -sys.float_info.min)
+        seed = min(max((-lambert_w(z, -1).real - 1.0) / math.pi, s_lo), s_hi)
+    s = newton_decreasing(g, s_lo, s_hi, seed)
+    hi_prime(ctx, s * s)  # the tail rule, at the root
+    return s * s
 
 
 def _w_real(ctx: InversionContext, t: float) -> float:
     """w at the real nome exp(-pi sqrt(t))."""
-    value, _tail = eval_series(ctx.w_series, _real_nome(t))
+    value, _tail = eval_series(ctx.w_series, math.exp(-math.pi * _sqrt_abscissa(t)))
     return value.real
 
 
@@ -107,12 +128,8 @@ def S_residual(
 
 
 def thm19_value(
-    ctx: InversionContext,
-    q: QuadraticPowerIntegral,
-    r1: float,
-    r2: float,
-    lo: float = 0.05,
-    hi: float = 60.0,
+    ctx: InversionContext, q: QuadraticPowerIntegral, r1: float, r2: float,
+    lo: float = 0.05, hi: float = 60.0,
 ) -> float:
     """R2 - R1 where h_i(R_j) equals the closed-form level of r_j.
 
@@ -122,26 +139,19 @@ def thm19_value(
     """
     if r1 == r2:
         return 0.0
-    levels = []
-    for r in (r1, r2):
-        target = (q.prefactor * q.gamma_factor).real / (r + 1.0)
-        levels.append(hi_inverse(ctx, target, lo, hi))
-    return levels[1] - levels[0]
+    scale = (q.prefactor * q.gamma_factor).real
+    t1, t2 = (hi_inverse(ctx, scale / (r + 1.0), lo, hi) for r in (r1, r2))
+    return t2 - t1
 
 
 def thm19_oracle(
-    ctx: InversionContext,
-    q: QuadraticPowerIntegral,
-    r1: float,
-    r2: float,
-    lo: float = 0.05,
-    hi: float = 60.0,
+    ctx: InversionContext, q: QuadraticPowerIntegral, r1: float, r2: float,
+    lo: float = 0.05, hi: float = 60.0,
 ) -> float:
     """Quadrature of f1(t) (quadratic)^-m between the beta endpoints, to
     tolerance 1e-10, with f1(t) = 1/h_i'(h(U(t))): the weight for which
     the closed form of thm19_value holds."""
-    a1 = beta_endpoint(q, r1)
-    a2 = beta_endpoint(q, r2)
+    a1, a2 = beta_endpoint(q, r1), beta_endpoint(q, r2)
 
     def integrand(t: complex) -> complex:
         u = U_antideriv(q, t).real
@@ -201,23 +211,19 @@ def f1_real_cross(A: float) -> tuple[float, float]:
     dB0/d lambda = lambda^(-5/6) (1 - lambda)^(-1/3).
     """
     r_lo, r_hi = 0.05, 50.0
-    g_lo = modular_abscissa(r_lo)
-    g_hi = modular_abscissa(r_hi)
+    g_lo, g_hi = modular_abscissa(r_lo), modular_abscissa(r_hi)
     if not (g_hi <= A <= g_lo):
-        raise NoBracket(
-            f"A={A:.6g} outside the abscissa range [{g_hi:.6g}, {g_lo:.6g}]"
-        )
+        raise NoBracket(f"A={A:.6g} outside the abscissa range [{g_hi:.6g}, {g_lo:.6g}]")
 
-    def slope(s: float) -> float:
+    def g(s: float) -> tuple[float, float]:
         lam = k_r(s * s) ** 2
         theta4 = theta3(-math.exp(-math.pi * s)).real
         dlam = -math.pi * lam * theta4**4
-        return dlam * lam ** (-5.0 / 6.0) * (1.0 - lam) ** (-1.0 / 3.0) / _CBRT4
+        slope = dlam * lam ** (-5.0 / 6.0) * (1.0 - lam) ** (-1.0 / 3.0) / _CBRT4
+        return modular_abscissa(s * s) - A, slope
 
     s_lo, s_hi = math.sqrt(r_lo), math.sqrt(r_hi)
-    s = newton_decreasing(
-        lambda t: modular_abscissa(t * t) - A, slope, s_lo, s_hi, 0.5 * (s_lo + s_hi)
-    )
+    s = newton_decreasing(g, s_lo, s_hi, 0.5 * (s_lo + s_hi))
     modular = rogers_ramanujan(math.exp(-math.pi * s)).real
     direct = F1_forward(A).real
     return direct, modular

@@ -263,13 +263,15 @@ def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
     otherwise the Maclaurin sum is taken too and returned, unless its size
     is the larger.  AccuracyLoss where the size of the nonzero value
     returned exceeds _CANCELLATION_BOUND (1e4) times |value|.  DomainError
-    at a non-positive integer c; NoConvergence at _MAX_TERMS terms.
+    at a non-positive integer c or NaN x; NoConvergence at _MAX_TERMS terms.
     """
     if _is_pole(c):
         raise DomainError("2F1 undefined at non-positive integer c")
     x = complex(x)
-    if abs(x) >= 1:
-        raise ConvergenceDomain("2F1 series requires |x| < 1")
+    if not abs(x) < 1:
+        if abs(x) >= 1:
+            raise ConvergenceDomain("2F1 series requires |x| < 1")
+        raise DomainError(f"2F1 needs a number x, got x = {x}")
     value, size = _gauss(a, b, c, x)
     if not size <= _ROUNDING_BOUND * abs(value):
         # the Maclaurin sum wins ties, so a core out of range (size inf) never stands
@@ -405,12 +407,14 @@ def inc_beta(x, a: float, b: float) -> complex:
       the same fraction; at x = 1 the tail is 0.
     The complete value B(a, b) is the two fractions met at the mean (see
     _complete_beta), so it stays independent of the gamma closed form.
-    x on the cut (1, inf) raises DomainError, as does x = 1 with b <= 0,
-    where the integral diverges.
+    x on the cut (1, inf) raises DomainError, as do a NaN x and x = 1
+    with b <= 0, where the integral diverges.
     """
     if a <= 0:
         raise DomainError("inc_beta requires a > 0")
     x = complex(x)
+    if x != x:
+        raise DomainError(f"inc_beta needs a number x, got x = {x}")
     if x.imag == 0 and x.real > 1:
         raise DomainError("inc_beta argument on the cut [1, inf)")
     if x == 1 and b <= 0:

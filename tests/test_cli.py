@@ -267,12 +267,8 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         assert run(capsys, "nosuch")[0] == 1
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["special", "--fn", "gamma", "--arg", "200"], ["f1", "--mode", "inverse", "--x", "1e70"]],
-        ids=" ".join,
-    )
-    def test_overflow_is_an_error_line(self, argv):
+    @staticmethod
+    def _error_line(argv) -> str:
         # a fresh interpreter, so that an uncaught exception would print
         # its traceback to stderr
         env = dict(os.environ, PYTHONPATH=str(Path(lagrev.__file__).parents[1]))
@@ -282,6 +278,33 @@ class TestUsage:
         assert done.returncode == 1
         assert done.stderr.startswith("lagrev: error: ")
         assert "Traceback" not in done.stderr
+        return done.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["special", "--fn", "gamma", "--arg", "200"], ["f1", "--mode", "inverse", "--x", "1e70"]],
+        ids=" ".join,
+    )
+    def test_overflow_is_an_error_line(self, argv):
+        self._error_line(argv)
+
+    @pytest.mark.parametrize(
+        "command, named",
+        [
+            # each of these escaped as a bare traceback: OverflowError at
+            # a ** (5/6), in the seed (x/6)^(6/5) and in the tanh-sinh rule,
+            # ZeroDivisionError where Newton reaches w = -1e8 and exp(w) = 0
+            ("f1 --mode inverse --x inf", "F1_inverse at a = (inf+0j)"),
+            ("f1 --mode forward --x 1e300", "F1_forward at x = (1e+300+0j)"),
+            (
+                "integral --a1 0.5 --b1 nan --c1 3.5e6 --m 1/2 --r1 inf --r2 inf --oracle",
+                "b1 must be finite, got (nan+0j)",
+            ),
+            ("revert --f exp(A) --order 2 --q 2.042754063208072", "q = (2.042754063208072+0j)"),
+        ],
+    )
+    def test_escape_is_an_error_line_naming_its_argument(self, command, named):
+        assert named in self._error_line(command.split())
 
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "revert")[0] == 1

@@ -40,6 +40,14 @@ class TestQuadratic:
         with pytest.raises(DomainError):
             QuadraticPowerIntegral(0.0, 1.0, 1.0, Fraction(1, 2))
 
+    @pytest.mark.parametrize("bad", [math.nan, INF, complex(0.0, -INF)])
+    def test_nonfinite_coefficients(self, bad):
+        for k, name in enumerate(("a1", "b1", "c1")):
+            coeffs = [0.5, 0.0, 3.5e6]
+            coeffs[k] = bad
+            with pytest.raises(DomainError, match=f"coefficient {name} must be finite"):
+                QuadraticPowerIntegral(*coeffs, Fraction(1, 2))
+
     def test_calibration_prefactor(self, arcsine):
         assert abs(arcsine.prefactor - 1.0) < 1e-14
         assert abs(arcsine.branch_phase + 1.0) < 1e-12
@@ -113,6 +121,28 @@ def test_beta_r_solve_cost(k, log10_r):
     near = inc_beta(bp.u, alpha, alpha).real
     far = (gamma_fn(alpha) ** 2 / gamma_fn(2 * alpha)).real - near
     assert math.sqrt(far / near) == pytest.approx(math.sqrt(max(r, 1 / r)), abs=1e-10)
+
+
+def test_beta_r_seed_cost():
+    """The second-order seed: Newton evaluations per beta-point solve over
+    the m of the integral oracle and r near its bands average at most 4.0."""
+    solve = lagrev.quadint.newton_decreasing
+    evaluations = []
+
+    def counted(g, *bracket):
+        def g_counted(v):
+            evaluations.append(v)
+            return g(v)
+
+        return solve(g_counted, *bracket)
+
+    grid = [(Fraction(m), r) for m in ("1/6", "1/4", "1/3", "1/2", "2/3", "5/6")
+            for r in (1.5, 2.0, 3.0, 5.0)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lagrev.quadint, "newton_decreasing", counted)
+        for m, r in grid:
+            beta_r(m, r)
+    assert len(evaluations) / len(grid) <= 4.0
 
 
 class TestClosedIntegral:

@@ -145,9 +145,9 @@ class TestNewtonDecreasing:
 
         def g(t):
             seen.append(t)
-            return 0.5 - t**3
+            return 0.5 - t**3, -3 * t * t
 
-        root = newton_decreasing(g, lambda t: -3 * t * t, 0.0, 2.0, 1.0)
+        root = newton_decreasing(g, 0.0, 2.0, 1.0)
         assert root == pytest.approx(0.5 ** (1 / 3), rel=4e-16)
         assert len(seen) <= 7
 
@@ -158,9 +158,9 @@ class TestNewtonDecreasing:
 
         def g(t):
             seen.append(t)
-            return -math.atan(t - 1.0)
+            return -math.atan(t - 1.0), -1.0 / (1.0 + (t - 1.0) ** 2)
 
-        root = newton_decreasing(g, lambda t: -1.0 / (1.0 + (t - 1.0) ** 2), 0.0, 10.0, 5.0)
+        root = newton_decreasing(g, 0.0, 10.0, 5.0)
         assert seen[:2] == [5.0, 2.5]
         assert root == pytest.approx(1.0, abs=1e-15)
 
@@ -171,16 +171,16 @@ class TestNewtonDecreasing:
 
         def g(t):
             seen.append(t)
-            return 0.3 - t
+            return 0.3 - t, -1e-3
 
-        root = newton_decreasing(g, lambda t: -1e-3, 0.0, 1.0, 0.5)
+        root = newton_decreasing(g, 0.0, 1.0, 0.5)
         assert seen[:4] == [0.5, 0.25, 0.375, 0.3125]
         assert root == pytest.approx(0.3, abs=1e-15)
 
     def test_no_convergence_message(self):
         # bisection alone cannot narrow [0, 1e300] to the root at 1 in 100 steps
         with pytest.raises(NoConvergence) as exc:
-            newton_decreasing(lambda t: 1.0 - t, lambda t: -1e-300, 0.0, 1e300, 5e299)
+            newton_decreasing(lambda t: (1.0 - t, -1e-300), 0.0, 1e300, 5e299)
         message = str(exc.value)
         width = 1e300 / 2**100
         assert f"after 100 iterations: bracket [0, {width:.17g}]" in message

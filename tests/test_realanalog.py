@@ -80,21 +80,39 @@ class TestLevelMap:
             assert hi_inverse(unit_ctx, target, 0.05, 60.0) == pytest.approx(a, rel=1e-10)
 
     def test_inverse_accuracy_and_cost(self, unit_ctx, monkeypatch):
-        level = hi_of
-        lo, hi = level(unit_ctx, 60.0), level(unit_ctx, 0.05)
-        calls = []
+        # for f = 1 the one-term seed is the root itself: the two bracket
+        # ends, one Newton evaluation and the tail check at the root make
+        # 4 passes over a_n
+        lo, hi = hi_of(unit_ctx, 60.0), hi_of(unit_ctx, 0.05)
+        level = lagrev.realanalog._level
+        passes = []
 
-        def counted(ctx, a):
-            calls.append(a)
-            return level(ctx, a)
+        def counted(ctx, s):
+            passes.append(s)
+            return level(ctx, s)
 
-        monkeypatch.setattr(lagrev.realanalog, "hi_of", counted)
+        monkeypatch.setattr(lagrev.realanalog, "_level", counted)
         for k in range(1, 20):
             x = lo + (hi - lo) * k / 20
-            calls.clear()
+            passes.clear()
             t = hi_inverse(unit_ctx, x, 0.05, 60.0)
-            assert len(calls) <= 25
-            assert level(unit_ctx, t) == pytest.approx(x, rel=1e-13)
+            assert len(passes) <= 6
+            assert hi_of(unit_ctx, t) == pytest.approx(x, rel=1e-13)
+
+    def test_inverse_checks_the_tail_at_the_root_only(self):
+        # order 24 for f = exp(A): the w' tail estimate passes 1e-12 below
+        # about A = 0.43, so the bracket [0.2, 60] starts where it fails
+        ctx = build_real_context(to_funcspec(parse_expr("exp(A)"), order=24), 24)
+        for root in (0.48949, 2.0):
+            assert hi_inverse(ctx, hi_of(ctx, root), 0.2, 60.0) == pytest.approx(root, rel=1e-12)
+        with pytest.raises(AccuracyLoss):
+            hi_inverse(ctx, hi_of(ctx, 0.3), 0.2, 60.0)
+
+    def test_inverse_needs_a_positive_level(self, unit_ctx):
+        # the nome exp(-pi sqrt(1e5)) underflows, so h_i(1e5) is 0 and
+        # log(h_i/target) has no value there
+        with pytest.raises(DomainError, match=r"h_i\(100000\) = 0"):
+            hi_inverse(unit_ctx, 0.01, 0.05, 1e5)
 
     def test_out_of_band_target(self, unit_ctx):
         with pytest.raises(NoBracket):

@@ -242,6 +242,22 @@ def _plain_maclaurin(a, b, c, x):
     return total
 
 
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (sf.hyp2f1, (1, 1, 2, math.nan)),
+        (sf.hyp2f1, (0.5, 0.5, 1.0, complex(0.2, math.nan))),
+        (sf.inc_beta, (math.nan, 0.5, 0.5)),
+        (sf.inc_beta, (complex(math.nan, 0.1), 1 / 6, 2 / 3)),
+    ],
+)
+def test_nan_argument_is_a_domain_error(fn, args):
+    # both sums used to run their 100 000-term cap (50-70 ms) before
+    # NoConvergence; the check at entry is one comparison
+    with pytest.raises(DomainError, match=r"got x = \(.*nan"):
+        fn(*args)
+
+
 class TestHypergeometric:
     def test_log_case(self):
         for z in (0.3, -0.4):

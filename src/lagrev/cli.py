@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BranchError, LagrevError, ParseError
+from .errors import BranchError, DomainError, LagrevError, ParseError
 from .expr import eval_expr, parse_expr
 from .inversion import (
     F1_forward,
@@ -107,26 +107,29 @@ def _cmd_revert(args) -> int:
     return 0
 
 
-_SPECIAL = {
-    "theta2": (specfun.theta2, 1),
-    "theta3": (specfun.theta3, 1),
-    "eta": (specfun.eta, 1),
-    "mstar": (specfun.mstar, 1),
-    "k_r": (specfun.k_r, 1),
-    "gamma": (specfun.gamma_fn, 1),
-    "lambert_w": (specfun.lambert_w, 1),
-    "rr": (specfun.rogers_ramanujan, 1),
-    "hyp2f1": (specfun.hyp2f1, 4),
-    "inc_beta": (specfun.inc_beta, 3),
-    "appell_f1": (specfun.appell_f1, 6),
+_SPECIAL = {  # one letter per argument: c complex, r real
+    "theta2": (specfun.theta2, "c"),
+    "theta3": (specfun.theta3, "c"),
+    "eta": (specfun.eta, "c"),
+    "mstar": (specfun.mstar, "c"),
+    "k_r": (specfun.k_r, "r"),
+    "gamma": (specfun.gamma_fn, "c"),
+    "lambert_w": (specfun.lambert_w, "c"),
+    "rr": (specfun.rogers_ramanujan, "c"),
+    "hyp2f1": (specfun.hyp2f1, "rrrc"),
+    "inc_beta": (specfun.inc_beta, "crr"),
+    "appell_f1": (specfun.appell_f1, "rrrrcc"),
 }
 
 
 def _cmd_special(args) -> int:
-    fn, arity = _SPECIAL[args.fn]
+    fn, kinds = _SPECIAL[args.fn]
     values = [_parse_complex(a) for a in args.arg]
-    if len(values) != arity:
-        raise ParseError(f"{args.fn} takes {arity} argument(s), got {len(values)}")
+    if len(values) != len(kinds):
+        raise ParseError(f"{args.fn} takes {len(kinds)} argument(s), got {len(values)}")
+    for i, (kind, v) in enumerate(zip(kinds, values), 1):
+        if kind == "r" and v.imag != 0.0:
+            raise DomainError(f"{args.fn} takes a real argument {i}, got {v}")
     # pass reals as floats so parameter-typed positions accept them
     args_out = [v.real if v.imag == 0.0 else v for v in values]
     print(_fmt(fn(*args_out)))

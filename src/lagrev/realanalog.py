@@ -60,6 +60,38 @@ def hi_of(ctx: InversionContext, A) -> float:
     return _level(ctx, _sqrt_abscissa(A))[0]
 
 
+def _level_solver(ctx: InversionContext, lo: float, hi: float):
+    """hi_inverse on [lo, hi] as solve(target) -> (t, h_i'(t)): the bracket ends are read
+    once, here, and h_i'(t) is the one the tail check at the root reads."""
+    flo, fhi = hi_of(ctx, lo), hi_of(ctx, hi)
+    if flo <= fhi:
+        raise NonMonotone("h_i is not decreasing on the requested bracket")
+    s_lo, s_hi, a1 = math.sqrt(lo), math.sqrt(hi), ctx.a[0].real
+
+    def solve(target: float) -> tuple[float, float]:
+        if not (fhi <= target <= flo):
+            raise NoBracket(f"target {target:.6g} outside the h_i range [{fhi:.6g}, {flo:.6g}]")
+        if not fhi > 0:
+            raise DomainError(f"h_i must be positive on the bracket, h_i({hi:.6g}) = {fhi:.6g}")
+
+        def g(s: float) -> tuple[float, float]:
+            h, slope, _tail = _level(ctx, s)
+            if not h > 0:
+                raise NonMonotone(
+                    f"h_i is not decreasing on the bracket: h_i({s * s:.6g}) = {h:.6g}"
+                )
+            return math.log(h / target), 2.0 * s * slope / h
+
+        seed, k = s_lo, math.pi**2 * target
+        if k < a1:  # -1/e < z < 0, the model's root; z kept off -1/e and the subnormals
+            z = min(max(-k / (math.e * a1), math.nextafter(-1 / math.e, 0.0)), -sys.float_info.min)
+            seed = min(max((-lambert_w(z, -1).real - 1.0) / math.pi, s_lo), s_hi)
+        s = newton_decreasing(g, s_lo, s_hi, seed)
+        return s * s, hi_prime(ctx, s * s)
+
+    return solve
+
+
 def hi_inverse(ctx: InversionContext, target: float, lo: float = 0.05, hi: float = 60.0) -> float:
     """Solve h_i(t) = target on [lo, hi]: bracketed Newton on log(h_i(s^2)/target)
     in s = sqrt(t), slope 2 s h_i'/h_i, from the root s = (-W_{-1}(-pi^2 target/(e a_1))
@@ -68,28 +100,7 @@ def hi_inverse(ctx: InversionContext, target: float, lo: float = 0.05, hi: float
     must be strictly decreasing (else NonMonotone) and positive (else DomainError) on
     the bracket, its range there holding the target (else NoBracket).  The w' tail rule
     of hi_prime is checked once, at the root: elsewhere the slope only steers Newton."""
-    flo, fhi = hi_of(ctx, lo), hi_of(ctx, hi)
-    if flo <= fhi:
-        raise NonMonotone("h_i is not decreasing on the requested bracket")
-    if not (fhi <= target <= flo):
-        raise NoBracket(f"target {target:.6g} outside the h_i range [{fhi:.6g}, {flo:.6g}]")
-    if not fhi > 0:
-        raise DomainError(f"h_i must be positive on the bracket, h_i({hi:.6g}) = {fhi:.6g}")
-
-    def g(s: float) -> tuple[float, float]:
-        h, slope, _tail = _level(ctx, s)
-        if not h > 0:
-            raise NonMonotone(f"h_i is not decreasing on the bracket: h_i({s * s:.6g}) = {h:.6g}")
-        return math.log(h / target), 2.0 * s * slope / h
-
-    s_lo, s_hi = math.sqrt(lo), math.sqrt(hi)
-    seed, a1, k = s_lo, ctx.a[0].real, math.pi**2 * target
-    if k < a1:  # -1/e < z < 0, the model's root; z kept off -1/e and the subnormals
-        z = min(max(-k / (math.e * a1), math.nextafter(-1 / math.e, 0.0)), -sys.float_info.min)
-        seed = min(max((-lambert_w(z, -1).real - 1.0) / math.pi, s_lo), s_hi)
-    s = newton_decreasing(g, s_lo, s_hi, seed)
-    hi_prime(ctx, s * s)  # the tail rule, at the root
-    return s * s
+    return _level_solver(ctx, lo, hi)(target)[0]
 
 
 def _w_real(ctx: InversionContext, t: float) -> float:
@@ -150,13 +161,14 @@ def thm19_oracle(
 ) -> float:
     """Quadrature of f1(t) (quadratic)^-m between the beta endpoints, to
     tolerance 1e-10, with f1(t) = 1/h_i'(h(U(t))): the weight for which
-    the closed form of thm19_value holds."""
+    the closed form of thm19_value holds.  One level solve serves every
+    node, and h_i' is the one it read at the root."""
     a1, a2 = beta_endpoint(q, r1), beta_endpoint(q, r2)
+    solve = _level_solver(ctx, lo, hi)
 
     def integrand(t: complex) -> complex:
-        u = U_antideriv(q, t).real
-        s = hi_inverse(ctx, u, lo, hi)
-        return complex(q.evaluate(t).real / hi_prime(ctx, s))
+        _root, slope = solve(U_antideriv(q, t).real)
+        return complex(q.evaluate(t).real / slope)
 
     value, _err = quad_oracle(integrand, a1, a2, tol=1e-10)
     return value.real

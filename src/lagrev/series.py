@@ -15,8 +15,10 @@ operand becomes integer numerators over one common denominator (its
 lcm), the integers go through the same convolution and quotient loops
 as complex coefficients, and each coefficient of the result is
 normalised once, when it is built (as FLINT's ``fmpq_poly`` does; Knuth,
-TAOCP vol. 2, 4.5.1), not after every product and sum.  ``compose`` is a
-Horner loop of these products.
+TAOCP vol. 2, 4.5.1), not after every product and sum.  Only the kernels
+``_mul`` and ``_div`` look at the type; the operators and ``compose``, a
+Horner loop of ``_mul`` on one coefficient list, call them, and what they
+typed becomes a series unchecked.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class TruncSeries:
 
     def __post_init__(self):
         coeffs = tuple(self.coeffs)
-        if not all(isinstance(c, Fraction) for c in coeffs):
+        if not all(type(c) is Fraction or isinstance(c, Fraction) for c in coeffs):
             coeffs = tuple(complex(c) for c in coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         if not self.coeffs:
@@ -70,66 +72,48 @@ class TruncSeries:
     def truncated(self, order: int) -> "TruncSeries":
         if order >= self.order:
             return self
-        return TruncSeries(self.coeffs[: order + 1])
+        return _typed(self.coeffs[: order + 1])
 
     def padded(self, order: int) -> "TruncSeries":
         """The series at exactly this order: truncated, or extended by zeros."""
         zeros = (self._scalar(0),) * max(0, order - self.order)
-        return TruncSeries(self.coeffs[: order + 1] + zeros)
+        return _typed(self.coeffs[: order + 1] + zeros)
 
     def __add__(self, other):
         if not isinstance(other, TruncSeries):
             other = constant(other, self.order)
         n = min(self.order, other.order)
-        return TruncSeries(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
+        return _typed(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return TruncSeries(tuple(-c for c in self.coeffs))
+        return _typed(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, Number):
             return TruncSeries(tuple(c * other for c in self.coeffs))
-        n = min(self.order, other.order)
-        if _both_exact(self, other):
-            (a, da), (b, db) = _over_lcm(self.coeffs[: n + 1]), _over_lcm(other.coeffs[: n + 1])
-            return TruncSeries(tuple(Fraction(p, da * db) for p in _convolve(a, b, n, 0)))
-        return TruncSeries(tuple(_convolve(self.coeffs, other.coeffs, n, self._scalar(0))))
+        return _typed(tuple(_mul(self.coeffs, other.coeffs, min(self.order, other.order))))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Number):
             return self * (self._scalar(1) / other)
-        if other.coeffs[0] == 0:
-            raise DegenerateSeries("division by a series with zero constant term")
-        n = min(self.order, other.order)
-        if not _both_exact(self, other):
-            inv0 = other._scalar(1) / other.coeffs[0]
-            return TruncSeries(tuple(_solve_lower(self.coeffs, other.coeffs, n, inv0)))
-        # q = a/b with a = A/d_a, b = B/d_b: Q_k = q_k d_a B_0^(k+1)/d_b is
-        # the integer A_k B_0^k - sum_j B_j B_0^(j-1) Q_(k-j)
-        (a, da), (b, db) = _over_lcm(self.coeffs[: n + 1]), _over_lcm(other.coeffs[: n + 1])
-        powers = [1]
-        for _ in range(n + 1):
-            powers.append(powers[-1] * b[0])
-        lead = [a[k] * powers[k] for k in range(n + 1)]
-        scaled = [0] + [b[j] * powers[j - 1] for j in range(1, n + 1)]
-        quotient = _solve_lower(lead, scaled, n, 1)
-        return TruncSeries(
-            tuple(Fraction(quotient[k] * db, da * powers[k + 1]) for k in range(n + 1))
-        )
+        return _typed(tuple(_div(self.coeffs, other.coeffs, min(self.order, other.order))))
 
     def derivative(self) -> "TruncSeries":
         if self.order == 0:
-            return TruncSeries((self._scalar(0),))
-        return TruncSeries(tuple((k + 1) * self.coeffs[k + 1] for k in range(self.order)))
+            return _typed((self._scalar(0),))
+        return _typed(tuple((k + 1) * self.coeffs[k + 1] for k in range(self.order)))
 
 
-def _both_exact(a: TruncSeries, b: TruncSeries) -> bool:
-    return isinstance(a.coeffs[0], Fraction) and isinstance(b.coeffs[0], Fraction)
+def _typed(coeffs: tuple) -> TruncSeries:
+    """A series of coefficients a kernel has typed (all Fraction or all complex), unchecked."""
+    s = object.__new__(TruncSeries)
+    object.__setattr__(s, "coeffs", coeffs)
+    return s
 
 
 def _over_lcm(coeffs) -> tuple[list, int]:
@@ -137,6 +121,32 @@ def _over_lcm(coeffs) -> tuple[list, int]:
     common denominator d, and d."""
     d = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _mul(a, b, n: int) -> list:
+    """Coefficients 0..n of the product of a and b: Fraction when both are, else complex."""
+    if not (isinstance(a[0], Fraction) and isinstance(b[0], Fraction)):
+        return _convolve(a, b, n, 0j)
+    (p, da), (r, db) = _over_lcm(a[: n + 1]), _over_lcm(b[: n + 1])
+    return [Fraction(c, da * db) for c in _convolve(p, r, n, 0)]
+
+
+def _div(a, b, n: int) -> list:
+    """Coefficients 0..n of the quotient a/b, typed as _mul's; DegenerateSeries at b_0 = 0."""
+    if b[0] == 0:
+        raise DegenerateSeries("division by a series with zero constant term")
+    if not (isinstance(a[0], Fraction) and isinstance(b[0], Fraction)):
+        return _solve_lower(a, b, n, 1 / b[0])
+    # q = a/b with a = A/d_a, b = B/d_b: Q_k = q_k d_a B_0^(k+1)/d_b is
+    # the integer A_k B_0^k - sum_j B_j B_0^(j-1) Q_(k-j)
+    (a, da), (b, db) = _over_lcm(a[: n + 1]), _over_lcm(b[: n + 1])
+    powers = [1]
+    for _ in range(n + 1):
+        powers.append(powers[-1] * b[0])
+    lead = [a[k] * powers[k] for k in range(n + 1)]
+    scaled = [0] + [b[j] * powers[j - 1] for j in range(1, n + 1)]
+    quotient = _solve_lower(lead, scaled, n, 1)
+    return [Fraction(quotient[k] * db, da * powers[k + 1]) for k in range(n + 1)]
 
 
 def _convolve(a, b, n: int, zero) -> list:
@@ -180,11 +190,11 @@ def compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
     if inner.coeffs[0] != 0:
         raise CompositionDomain("inner series of a composition must have zero constant term")
     n = min(outer.order, inner.order)
-    inner = inner.truncated(n)
-    acc = constant(outer.coeffs[n], n)
-    for k in range(n - 1, -1, -1):
-        acc = acc * inner + constant(outer.coeffs[k], n)
-    return acc
+    acc = [outer._scalar(0)]
+    for c in reversed(outer.coeffs[: n + 1]):
+        acc = _mul(acc, inner.coeffs, n)
+        acc[0] += c
+    return _typed(tuple(acc))
 
 
 def s_exp(s: TruncSeries) -> TruncSeries:
@@ -278,7 +288,7 @@ def _revert(f: TruncSeries, order: int) -> TruncSeries:
 
 def _shift(s: TruncSeries) -> TruncSeries:
     """Multiply by q, keeping the truncation order."""
-    return TruncSeries((s._scalar(0),) + s.coeffs[:-1])
+    return _typed((s._scalar(0),) + s.coeffs[:-1])
 
 
 def lagrange_revert(f: TruncSeries, order: int) -> TruncSeries:

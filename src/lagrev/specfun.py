@@ -407,14 +407,14 @@ def inc_beta(x, a: float, b: float) -> complex:
       the same fraction; at x = 1 the tail is 0.
     The complete value B(a, b) is the two fractions met at the mean (see
     _complete_beta), so it stays independent of the gamma closed form.
-    x on the cut (1, inf) raises DomainError, as do a NaN x and x = 1
-    with b <= 0, where the integral diverges.
+    x on the cut (1, inf) raises DomainError, as do a NaN or infinite x,
+    and x = 1 with b <= 0, where the integral diverges.
     """
     if a <= 0:
         raise DomainError("inc_beta requires a > 0")
     x = complex(x)
-    if x != x:
-        raise DomainError(f"inc_beta needs a number x, got x = {x}")
+    if not cmath.isfinite(x):
+        raise DomainError(f"inc_beta needs a finite x, got x = {x}")
     if x.imag == 0 and x.real > 1:
         raise DomainError("inc_beta argument on the cut [1, inf)")
     if x == 1 and b <= 0:

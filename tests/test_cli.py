@@ -306,6 +306,29 @@ class TestUsage:
     def test_escape_is_an_error_line_naming_its_argument(self, command, named):
         assert named in self._error_line(command.split())
 
+    @pytest.mark.parametrize(
+        "command, named",
+        [
+            # a complex value in a real parameter slot used to escape as a
+            # TypeError traceback from a comparison or round() inside specfun
+            ("special --fn k_r --arg 1.6,1.29", "k_r takes a real argument 1, got (1.6+1.29j)"),
+            (
+                "special --fn hyp2f1 --arg 1 --arg 1 --arg 1,1 --arg 0.5",
+                "hyp2f1 takes a real argument 3, got (1+1j)",
+            ),
+            (
+                "special --fn inc_beta --arg 0.3 --arg 0.5 --arg 0.5,1",
+                "inc_beta takes a real argument 3, got (0.5+1j)",
+            ),
+            (
+                "special --fn appell_f1 --arg 1 --arg 1 --arg 1 --arg 2,-1 --arg 0.1 --arg 0.2",
+                "appell_f1 takes a real argument 4, got (2-1j)",
+            ),
+        ],
+    )
+    def test_complex_value_in_a_real_slot_is_an_error_line(self, command, named):
+        assert named in self._error_line(command.split())
+
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "revert")[0] == 1
 

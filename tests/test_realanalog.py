@@ -156,6 +156,32 @@ class TestLevelDifference:
         direct = thm19_oracle(unit_ctx, self.QUAD, 35.0, 45.0, 1e-4, 10.0)
         assert abs(closed - direct) < 1e-9
 
+    def test_oracle_solves_each_node_once(self, unit_ctx, monkeypatch):
+        # the bracket ends are read once per call; at a node the Newton
+        # steps and the root's tail check, whose h_i' is the weight, make
+        # at most 3 passes over a_n
+        level, quad = lagrev.realanalog._level, lagrev.realanalog.quad_oracle
+        passes, per_node = [], []
+
+        def counted_level(ctx, s):
+            passes.append(s)
+            return level(ctx, s)
+
+        def counted_quad(integrand, a, b, **kwargs):
+            def node(t):
+                before = len(passes)
+                value = integrand(t)
+                per_node.append(len(passes) - before)
+                return value
+
+            return quad(node, a, b, **kwargs)
+
+        monkeypatch.setattr(lagrev.realanalog, "_level", counted_level)
+        monkeypatch.setattr(lagrev.realanalog, "quad_oracle", counted_quad)
+        thm19_oracle(unit_ctx, self.QUAD, 35.0, 45.0, 1e-4, 10.0)
+        assert per_node and max(per_node) <= 3
+        assert len(passes) == 2 + sum(per_node)
+
     def test_equal_ratios_vanish(self, unit_ctx):
         assert thm19_value(unit_ctx, self.QUAD, 35.0, 35.0) == 0.0
 

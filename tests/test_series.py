@@ -207,6 +207,54 @@ class TestExactKernel:
         assert list(composed) == expected
 
 
+small_complex = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+
+
+class TestComposition:
+    """compose runs its Horner loop on coefficient lists; it must give
+    what the same loop of TruncSeries operators gives, in the same type."""
+
+    @staticmethod
+    def operator_loop(outer, inner):
+        n = min(outer.order, inner.order)
+        inner = inner.truncated(n)
+        acc = qs.constant(outer[n], n)
+        for k in range(n - 1, -1, -1):
+            acc = acc * inner + qs.constant(outer[k], n)
+        return acc
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_the_operator_loop(self, data):
+        coefficient, kind = data.draw(
+            st.sampled_from([(small_complex, complex), (small_fractions, Fraction)])
+        )
+        outer = data.draw(st.lists(coefficient, min_size=1, max_size=13))
+        inner = [kind(0)] + data.draw(st.lists(coefficient, min_size=0, max_size=12))
+        a, b = qs.TruncSeries(tuple(outer)), qs.TruncSeries(tuple(inner))
+        composed, expected = qs.compose(a, b).coeffs, self.operator_loop(a, b).coeffs
+        assert len(composed) == len(expected) == min(len(outer), len(inner))
+        assert all(x == y for x, y in zip(composed, expected))
+        assert all(type(c) is kind for c in composed)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.lists(small_fractions, min_size=1, max_size=13),
+        st.lists(small_fractions, min_size=0, max_size=12),
+    )
+    def test_mixed_operands_become_complex(self, outer, inner_tail):
+        # a Fraction series with a float one gives an all-complex result,
+        # at every order, the constant-only order 0 included
+        inner = [Fraction(0)] + inner_tail
+        for a, b in (
+            (exact_series(outer), qs.TruncSeries(tuple(map(float, inner)))),
+            (qs.TruncSeries(tuple(map(float, outer))), exact_series(inner)),
+        ):
+            composed = qs.compose(a, b).coeffs
+            assert all(type(c) is complex for c in composed)
+            assert all(x == complex(y) for x, y in zip(composed, self.operator_loop(a, b).coeffs))
+
+
 class TestCoefficientTypes:
     def test_fraction_series_stay_exact(self):
         a = qs.TruncSeries((Fraction(1), Fraction(1, 2), Fraction(1, 3)))

@@ -258,6 +258,16 @@ def test_nan_argument_is_a_domain_error(fn, args):
         fn(*args)
 
 
+@pytest.mark.parametrize("x", [-math.inf, complex(0, math.inf)])
+def test_infinite_x_is_a_prompt_domain_error(x):
+    # inc_beta(-inf, .5, .5) used to run the fraction's 100 000-step cap
+    # (57-84 ms) before NoConvergence
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"finite x, got x = .*inf"):
+        sf.inc_beta(x, 0.5, 0.5)
+    assert time.perf_counter() - start < 5e-3
+
+
 class TestHypergeometric:
     def test_log_case(self):
         for z in (0.3, -0.4):

@@ -27,10 +27,10 @@ build_real_context = build_context
 
 
 def _sqrt_abscissa(A) -> float:
-    """sqrt(A) for the real nome q = exp(-pi sqrt(A)); DomainError unless A > 0."""
+    """sqrt(A) for the real nome q = exp(-pi sqrt(A)); DomainError unless 0 < A < inf."""
     A = float(A)
-    if not A > 0:
-        raise DomainError("the real nome requires A > 0")
+    if not 0 < A < math.inf:
+        raise DomainError(f"the real nome requires A > 0 and finite, got A = {A}")
     return math.sqrt(A)
 
 
@@ -121,20 +121,20 @@ def S_residual(
 
     The left side uses finite differences of L; the right side recovers
     P0* = h' + 2/L from the pole-plus-analytic decomposition, with
-    h'(x) = 1/h_i'(h(x)).
+    h'(x) = 1/h_i'(h(x)), h_i' read at the root that gives h(x).
     """
-    L = lambda t: L_of(ctx, t, lo, hi)  # noqa: E731
+    solve = _level_solver(ctx, lo, hi)
+    L = lambda t: _w_real(ctx, solve(t)[0])  # noqa: E731
     h1 = 1e-6 * max(1.0, abs(x))
     d1 = lambda s: (L(x + s) - L(x - s)) / (2.0 * s)  # noqa: E731
     lp = (4.0 * d1(h1 / 2) - d1(h1)) / 3.0
     h2 = 1e-4 * max(1.0, abs(x))
-    tx = hi_inverse(ctx, x, lo, hi)
+    tx, slope = solve(x)
     lx = _w_real(ctx, tx)
     d2 = lambda s: (L(x + s) - 2.0 * lx + L(x - s)) / (s * s)  # noqa: E731
     lpp = (4.0 * d2(h2 / 2) - d2(h2)) / 3.0
     left = -lpp / lp**3 + 1.0 / (math.pi**2 * lx)
-    hprime = 1.0 / hi_prime(ctx, tx)
-    right = 0.5 / math.pi**2 * (hprime + 2.0 / lx)
+    right = 0.5 / math.pi**2 * (1.0 / slope + 2.0 / lx)
     return left - right
 
 
@@ -193,9 +193,9 @@ def thm20_fit(
     that zeroes the residual at an anchor A is h(A) - (ln(q)/pi)^2 with
     L = L(A); the fit is the mean over the anchors.
     """
-    shifts = []
+    shifts, solve = [], _level_solver(ctx, lo, hi)
     for a in anchors:
-        t = hi_inverse(ctx, a, lo, hi)
+        t = solve(a)[0]
         level = _w_real(ctx, t)
         q = level / eval_expr(ctx.f.tree, level).real
         shifts.append(t - (math.log(q) / math.pi) ** 2)

@@ -10,15 +10,16 @@ operation is pure.  ``lagrange_revert`` and ``revert_exact`` share one
 Newton loop on these series, whose orders are fixed top-down from N,
 each about half the next, so that only the last step runs near N.
 
-Exact products and quotients run on integers: each ``Fraction``
-operand becomes integer numerators over one common denominator (its
-lcm), the integers go through the same convolution and quotient loops
-as complex coefficients, and each coefficient of the result is
-normalised once, when it is built (as FLINT's ``fmpq_poly`` does; Knuth,
-TAOCP vol. 2, 4.5.1), not after every product and sum.  Only the kernels
-``_mul`` and ``_div`` look at the type; the operators and ``compose``, a
-Horner loop of ``_mul`` on one coefficient list, call them, and what they
-typed becomes a series unchecked.
+Exact products, quotients and compositions run on integers: each
+``Fraction`` operand becomes integer numerators over one common
+denominator (its lcm), the integers go through the same convolution and
+quotient loops as complex coefficients, and each coefficient of the
+result is normalised once, when it is built (as FLINT's ``fmpq_poly``
+does; Knuth, TAOCP vol. 2, 4.5.1), not after every product and sum.  A
+composition splits its inner series once and carries its Horner
+accumulator as integers over one denominator, divided by their gcd at
+each step.  Only the kernels ``_mul``, ``_div`` and ``_compose`` look at
+the type; what they typed becomes a series unchecked.
 """
 
 from __future__ import annotations
@@ -149,6 +150,24 @@ def _div(a, b, n: int) -> list:
     return [Fraction(quotient[k] * db, da * powers[k + 1]) for k in range(n + 1)]
 
 
+def _compose(outer, inner, n: int) -> list:
+    """Coefficients 0..n of outer(inner) by Horner, typed as _mul's; acc/den when exact."""
+    if not (isinstance(outer[0], Fraction) and isinstance(inner[0], Fraction)):
+        acc = [0j]
+        for c in reversed(outer[: n + 1]):
+            acc = _convolve(acc, inner, n, 0j)
+            acc[0] += c
+        return acc
+    (p, d), acc, den = _over_lcm(inner[: n + 1]), [0], 1
+    for c in reversed(outer[: n + 1]):
+        lcm = math.lcm(den * d, c.denominator)
+        acc = [x * (lcm // (den * d)) for x in _convolve(acc, p, n, 0)]
+        acc[0] += c.numerator * (lcm // c.denominator)
+        g = math.gcd(lcm, *acc)  # without it the integers grow like d^n
+        acc, den = [x // g for x in acc], lcm // g
+    return [Fraction(x, den) for x in acc]
+
+
 def _convolve(a, b, n: int, zero) -> list:
     """Coefficients 0..n of the product of the sequences a and b."""
     out = [zero] * (n + 1)
@@ -189,12 +208,7 @@ def compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
     """outer(inner(q)) to the common order; inner must vanish at 0."""
     if inner.coeffs[0] != 0:
         raise CompositionDomain("inner series of a composition must have zero constant term")
-    n = min(outer.order, inner.order)
-    acc = [outer._scalar(0)]
-    for c in reversed(outer.coeffs[: n + 1]):
-        acc = _mul(acc, inner.coeffs, n)
-        acc[0] += c
-    return _typed(tuple(acc))
+    return _typed(tuple(_compose(outer.coeffs, inner.coeffs, min(outer.order, inner.order))))
 
 
 def s_exp(s: TruncSeries) -> TruncSeries:

@@ -76,10 +76,11 @@ _INF = float("inf")
 
 
 @functools.cache
-def _context(text: str, order: int) -> InversionContext:
-    """The inversion context of f = text at the given order, built once
-    per process and shared by every check (it is frozen and holds only
-    tuples)."""
+def _context(text: str) -> InversionContext:
+    """The inversion context of f = text, reverted once per process at one
+    order, the highest any check of that f needs, and shared by them all
+    (it is frozen and holds only tuples)."""
+    order = {"exp(A)": 48, "1/(1-A)": 40, "1+A": 40, "1": 8}[text]
     return build_context(to_funcspec(parse_expr(text), order=order), order)
 
 
@@ -155,7 +156,7 @@ def _check_reversion_catalan() -> _Outcome:
 
 
 def _check_reversion_vs_newton() -> _Outcome:
-    ctx = _context("exp(A)", 40)
+    ctx = _context("exp(A)")
     err = 0.0
     grid = [0.05 + 0.02j, -0.08 + 0.03j, 0.1j, 0.12]
     for q in grid:
@@ -393,7 +394,7 @@ def _check_series_primitives() -> _Outcome:
 def _check_product_form() -> _Outcome:
     err = 0.0
     for text in ("exp(A)", "1/(1-A)"):
-        ctx = _context(text, 40)
+        ctx = _context(text)
         exponents = qs.product_exponents(ctx.a)
         for q in (0.04, 0.08, 0.05 + 0.03j):
             w, _ = eval_series(ctx.w_series, q)
@@ -468,7 +469,7 @@ def _check_eq18_body() -> _Outcome:
 
 
 def _check_g_chain() -> _Outcome:
-    ctx = _context("exp(A)", 48)
+    ctx = _context("exp(A)")
     g = G_from_P0(lambda u: 1.0 + 0j, 0j)
     err = 0.0
     grid = [0.1 + 0.5j, -0.2 + 0.6j, 0.4j]
@@ -478,7 +479,7 @@ def _check_g_chain() -> _Outcome:
 
 
 def _check_pole_sign() -> _Outcome:
-    ctx = _context("exp(A)", 48)
+    ctx = _context("exp(A)")
     g = G_from_P0(lambda u: 1.0 + 0j, 0j)
     z = 0.1 + 0.5j
     gy = g(y_of(ctx, z))
@@ -588,7 +589,7 @@ def _check_real_bridge() -> _Outcome:
 def _check_hi_consistency() -> _Outcome:
     err = 0.0
     for text in ("exp(A)", "1+A"):
-        ctx = _context(text, 40)
+        ctx = _context(text)
         for a1, a2 in ((1.0, 2.0), (2.0, 4.0)):
             v, _ = quad_oracle(lambda t: complex(hi_prime(ctx, t.real)), a1, a2)
             err = max(err, abs(v.real - (hi_of(ctx, a2) - hi_of(ctx, a1))))
@@ -596,7 +597,7 @@ def _check_hi_consistency() -> _Outcome:
 
 
 def _check_thm17_residual() -> _Outcome:
-    ctx = _context("exp(A)", 48)
+    ctx = _context("exp(A)")
     lo, hi = 0.2, 60.0
     err = 0.0
     for a in (1.0, 3.0):
@@ -606,7 +607,7 @@ def _check_thm17_residual() -> _Outcome:
 
 
 def _check_thm19() -> _Outcome:
-    ctx = _context("1", 8)
+    ctx = _context("1")
     q = QuadraticPowerIntegral(-1.0, 0.0, 1.0, Fraction(1, 2))
     lo, hi = 1e-4, 10.0
     closed = thm19_value(ctx, q, 35.0, 45.0, lo, hi)
@@ -619,7 +620,7 @@ def _check_thm19() -> _Outcome:
 
 
 def _check_thm19_small_r() -> _Outcome:
-    ctx = _context("1", 8)
+    ctx = _context("1")
     q = QuadraticPowerIntegral(-1.0, 0.0, 1.0, Fraction(1, 2))
     try:
         thm19_value(ctx, q, 1.0, 3.0, 1e-4, 10.0)
@@ -638,7 +639,7 @@ def _check_thm19_small_r() -> _Outcome:
 
 
 def _check_thm20_fit() -> _Outcome:
-    ctx = _context("1", 8)
+    ctx = _context("1")
     anchors = [0.02, 0.04, 0.06]
     l1, sign = thm20_fit(ctx, anchors)
     err = max(abs(thm20_residual(ctx, a, l1)) for a in anchors)
@@ -650,7 +651,7 @@ def _check_thm20_fit() -> _Outcome:
 
 
 def _check_real_chain_ode() -> _Outcome:
-    ctx = _context("1", 8)
+    ctx = _context("1")
     lo, hi = 1e-3, 30.0
     err = 0.0
     for x in (0.04, 0.06):

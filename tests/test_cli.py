@@ -301,6 +301,8 @@ class TestUsage:
                 "b1 must be finite, got (nan+0j)",
             ),
             ("revert --f exp(A) --order 2 --q 2.042754063208072", "q = (2.042754063208072+0j)"),
+            # and this one printed nan, from inf * 0 at the nome q = 0
+            ("real --op hi --x inf", "finite, got A = inf"),
         ],
     )
     def test_escape_is_an_error_line_naming_its_argument(self, command, named):

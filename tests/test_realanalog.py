@@ -124,6 +124,18 @@ class TestLevelMap:
                 with pytest.raises(DomainError, match="requires A > 0"):
                     level(unit_ctx, a)
 
+    def test_finite_abscissa_required(self, unit_ctx):
+        # at A = inf the nome is 0 and sqrt(A) q is inf * 0: h_i read nan,
+        # h_i' read -0.0, and a bracket end at inf raised NoBracket
+        x = hi_of(unit_ctx, 1.5)
+        for a in (math.inf, -math.inf):
+            for level in (hi_of, hi_prime):
+                with pytest.raises(DomainError, match=f"finite, got A = {a}"):
+                    level(unit_ctx, a)
+            for lo, hi in ((0.05, a), (a, 60.0)):
+                with pytest.raises(DomainError, match=f"finite, got A = {a}"):
+                    L_of(unit_ctx, x, lo, hi)
+
 
 class TestChain:
     def test_chain_derivative_balance(self, unit_ctx):
@@ -206,14 +218,19 @@ class TestShiftFit:
 
     def test_each_level_is_solved_once(self, unit_ctx, monkeypatch):
         # h(A) is solved once per point, and both w and h' are read there
-        solve = hi_inverse
+        level_solver = lagrev.realanalog._level_solver
         calls = []
 
         def counted(*args):
-            calls.append(args[1])
-            return solve(*args)
+            solve = level_solver(*args)
 
-        monkeypatch.setattr(lagrev.realanalog, "hi_inverse", counted)
+            def counted_solve(target):
+                calls.append(target)
+                return solve(target)
+
+            return counted_solve
+
+        monkeypatch.setattr(lagrev.realanalog, "_level_solver", counted)
         l1, _sign = thm20_fit(unit_ctx, [0.02, 0.04])
         assert calls == [0.02, 0.04]
         calls.clear()
@@ -224,6 +241,37 @@ class TestShiftFit:
         S_residual(unit_ctx, x)
         # eight finite-difference neighbours and x itself
         assert len(calls) == 9 and calls.count(x) == 1
+
+    def test_one_solver_serves_every_point(self, unit_ctx, exp_ctx, monkeypatch):
+        # the bracket ends are read once per call, not once per point, and
+        # S_residual's h'(x) is the h_i' of the tail check at x's root:
+        # 2 passes over a_n, then per point its Newton steps and the root
+        level, newton = lagrev.realanalog._level, lagrev.realanalog.newton_decreasing
+        passes, steps, roots = [], [], []
+
+        def counted_level(ctx, s):
+            passes.append(s)
+            return level(ctx, s)
+
+        def counted_newton(g, lo, hi, t):
+            def step(s):
+                steps.append(s)
+                return g(s)
+
+            roots.append(newton(step, lo, hi, t))
+            return roots[-1]
+
+        x = hi_of(exp_ctx, 1.0)
+        monkeypatch.setattr(lagrev.realanalog, "_level", counted_level)
+        monkeypatch.setattr(lagrev.realanalog, "newton_decreasing", counted_newton)
+        for run, points in (
+            (lambda: S_residual(exp_ctx, x, 0.2, 60.0), 9),
+            (lambda: thm20_fit(unit_ctx, [0.02, 0.04, 0.06]), 3),
+        ):
+            del passes[:], steps[:], roots[:]
+            run()
+            assert len(roots) == points
+            assert len(passes) == 2 + len(steps) + points
 
 
 class TestModularBridge:

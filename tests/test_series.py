@@ -148,10 +148,10 @@ class TestExactReversion:
 
     @pytest.mark.parametrize("c", [Fraction(4, 7), Fraction(5, 7)])
     def test_geometric_gives_scaled_catalan_numbers(self, c):
-        # w = q/(1 - c w): c_n = Catalan(n-1) c^(n-1)
-        w = qs.revert_exact([c**k for k in range(33)], 32)
+        # f = 1/(1 - cA), w = q/(1 - c w): c_n = Catalan(n-1) c^(n-1)
+        w = qs.revert_exact([c**k for k in range(49)], 48)
         assert w[0] == 0
-        for n in range(1, 33):
+        for n in range(1, 49):
             assert w[n] == math.comb(2 * n - 2, n - 1) // n * c ** (n - 1)
 
 
@@ -206,8 +206,34 @@ class TestExactKernel:
         composed = qs.compose(exact_series(outer), exact_series(inner)).coeffs
         assert list(composed) == expected
 
+    @pytest.mark.parametrize("n", [4, 24])
+    def test_composition_splits_and_normalises_once(self, n, monkeypatch):
+        # the inner series is split over its lcm once per composition, and
+        # the n+1 Fractions of the result are the only ones built: no
+        # Horner step splits its operands or normalises its coefficients
+        split, built = [], []
+        over_lcm, new = qs._over_lcm, Fraction.__new__
+
+        def counted_split(coeffs):
+            split.append(len(coeffs))
+            return over_lcm(coeffs)
+
+        def counted_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        outer = exact_series([Fraction(1, k + 1) for k in range(n + 1)])
+        inner = exact_series([Fraction(0)] + [Fraction(k, 2 * k + 1) for k in range(1, n + 1)])
+        monkeypatch.setattr(qs, "_over_lcm", counted_split)
+        monkeypatch.setattr(Fraction, "__new__", counted_new)
+        composed = qs.compose(outer, inner)
+        monkeypatch.undo()
+        assert split == [n + 1] and len(built) == n + 1
+        assert list(composed.coeffs) == list(TestComposition.operator_loop(outer, inner).coeffs)
+
 
 small_complex = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+wide_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=10**6)
 
 
 class TestComposition:
@@ -226,15 +252,18 @@ class TestComposition:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(st.data())
     def test_matches_the_operator_loop(self, data):
-        coefficient, kind = data.draw(
-            st.sampled_from([(small_complex, complex), (small_fractions, Fraction)])
+        # either type for either operand, to order 24, denominators to 10^6
+        kinds = st.sampled_from([(small_complex, complex), (wide_fractions, Fraction)])
+        (outer_coefficient, outer_kind), (inner_coefficient, inner_kind) = (
+            data.draw(kinds), data.draw(kinds)
         )
-        outer = data.draw(st.lists(coefficient, min_size=1, max_size=13))
-        inner = [kind(0)] + data.draw(st.lists(coefficient, min_size=0, max_size=12))
+        outer = data.draw(st.lists(outer_coefficient, min_size=1, max_size=25))
+        inner = [inner_kind(0)] + data.draw(st.lists(inner_coefficient, min_size=0, max_size=24))
         a, b = qs.TruncSeries(tuple(outer)), qs.TruncSeries(tuple(inner))
         composed, expected = qs.compose(a, b).coeffs, self.operator_loop(a, b).coeffs
+        kind = Fraction if outer_kind is inner_kind is Fraction else complex
         assert len(composed) == len(expected) == min(len(outer), len(inner))
-        assert all(x == y for x, y in zip(composed, expected))
+        assert all(x == kind(y) for x, y in zip(composed, expected))
         assert all(type(c) is kind for c in composed)
 
     @settings(max_examples=40, deadline=None, derandomize=True)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from lagrev.errors import DomainError
+from lagrev.expr import print_expr
 from lagrev.verify import emit_report, run_suite
 
 VALID_STATUSES = {"pass", "fail", "recorded", "skipped"}
@@ -132,14 +133,15 @@ def test_each_inversion_context_is_built_once(monkeypatch):
     build = verify.build_context
 
     def counted(f, order):
-        built.append(order)
+        built.append(print_expr(f.tree))
         return build(f, order)
 
     monkeypatch.setattr(verify, "build_context", counted)
     verify._context.cache_clear()
     run_suite("all")
-    # exp(A), 1/(1-A) and 1+A at order 40, exp(A) at 48, the unit f at 8
-    assert sorted(built) == [8, 40, 40, 40, 48]
+    # each f is reverted once, at one order that serves all of its
+    # checks: a check asking for a second order of an f fails here
+    assert sorted(built) == ["1", "1+A", "1/(1-A)", "exp(A)"]
 
 
 def _statuses(report) -> dict:

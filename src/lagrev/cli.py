@@ -82,12 +82,6 @@ def _parse_complex(text: str) -> complex:
     raise ValueError(f"expected RE or RE,IM, got {text!r}")
 
 
-def _parse_r(text: str) -> float:
-    if text.strip().lower() == "inf":
-        return math.inf
-    return float(text)
-
-
 def _quadratic(args) -> QuadraticPowerIntegral:
     return QuadraticPowerIntegral(args.a1, args.b1, args.c1, args.m)
 
@@ -276,8 +270,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--b1", type=_parse_complex, required=True)
     p.add_argument("--c1", type=_parse_complex, required=True)
     p.add_argument("--m", type=Fraction, required=True, help="exponent P/Q in (0,1)")
-    p.add_argument("--r1", type=_parse_r, required=True, help="positive real or inf")
-    p.add_argument("--r2", type=_parse_r, required=True)
+    p.add_argument("--r1", type=float, required=True, help="positive real or inf")
+    p.add_argument("--r2", type=float, required=True)
     p.add_argument("--f1", default=None, help="expression for f; enables the log-bracket form")
     p.add_argument("--c", type=_parse_complex, default=1.5 + 0j)
     p.add_argument("--oracle", action="store_true", help="cross-check by quadrature")
@@ -294,8 +288,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--b1", type=_parse_complex, default=0j)
     p.add_argument("--c1", type=_parse_complex, default=1 + 0j)
     p.add_argument("--m", type=Fraction, default=Fraction(1, 2))
-    p.add_argument("--r1", type=_parse_r, default=35.0)
-    p.add_argument("--r2", type=_parse_r, default=45.0)
+    p.add_argument("--r1", type=float, default=35.0)
+    p.add_argument("--r2", type=float, default=45.0)
     p.add_argument("--oracle", action="store_true")
     p.set_defaults(handler=_cmd_real)
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 import sys
 
+from . import series as qs
 from .errors import DomainError, NoBracket, NonMonotone
 from .expr import eval_expr
 from .inversion import F1_forward, InversionContext, _check_w_prime_tail, build_context
 from .quadint import QuadraticPowerIntegral, U_antideriv, beta_endpoint
 from .quadrature import newton_decreasing, quad_oracle
-from .series import eval_series
 from .specfun import inc_beta, k_r, lambert_w, rogers_ramanujan, theta3
 
 
@@ -105,7 +105,7 @@ def hi_inverse(ctx: InversionContext, target: float, lo: float = 0.05, hi: float
 
 def _w_real(ctx: InversionContext, t: float) -> float:
     """w at the real nome exp(-pi sqrt(t))."""
-    value, _tail = eval_series(ctx.w_series, math.exp(-math.pi * _sqrt_abscissa(t)))
+    value, _tail = qs.eval_series(ctx.w_series, math.exp(-math.pi * _sqrt_abscissa(t)))
     return value.real
 
 
@@ -114,25 +114,37 @@ def L_of(ctx: InversionContext, x: float, lo: float = 0.05, hi: float = 60.0) ->
     return _w_real(ctx, hi_inverse(ctx, x, lo, hi))
 
 
+def _level_jet(ctx: InversionContext, t: float, order: int):
+    """(w, h_i) at A = t + eps as series in eps through eps^order, with no root solve:
+    w and sum (c_n/n) q^n, Taylor-shifted to q0 = q(t), composed with q(t + eps) - q0."""
+    root = qs.s_pow(qs.TruncSeries((t, 1.0)).padded(order), 0.5)
+    q = qs.s_exp(root * -math.pi)
+
+    def at_q(series: qs.TruncSeries) -> qs.TruncSeries:
+        taylor = []
+        for k in range(order + 1):
+            taylor.append(qs.eval_series(series, q[0])[0] / math.factorial(k))
+            series = series.derivative()
+        return qs.compose(qs.TruncSeries(tuple(taylor)), q - q[0])
+
+    w = at_q(ctx.w_series)
+    g = at_q(qs.TruncSeries(tuple(c / max(n, 1) for n, c in enumerate(ctx.w_series.coeffs))))
+    return w, g * math.pi**-2 + root * w * (1.0 / math.pi)
+
+
 def S_residual(
     ctx: InversionContext, x: float, lo: float = 0.05, hi: float = 60.0
 ) -> float:
     """Residual of -L''/L'^3 + pi^-2/L = (pi^-2/2) P0* at the point x.
 
-    The left side uses finite differences of L; the right side recovers
-    P0* = h' + 2/L from the pole-plus-analytic decomposition, with
-    h'(x) = 1/h_i'(h(x)), h_i' read at the root that gives h(x).
+    t = h(x) is solved once.  The left side reads L' = w'/h_i' and
+    L'' = (w'' h_i' - w' h_i'')/h_i'^3 from the t-derivatives of _level_jet;
+    the right side recovers P0* = h' + 2/L from the pole-plus-analytic
+    decomposition, with h'(x) = 1/h_i'(h(x)), h_i' read by hi_prime at the root.
     """
-    solve = _level_solver(ctx, lo, hi)
-    L = lambda t: _w_real(ctx, solve(t)[0])  # noqa: E731
-    h1 = 1e-6 * max(1.0, abs(x))
-    d1 = lambda s: (L(x + s) - L(x - s)) / (2.0 * s)  # noqa: E731
-    lp = (4.0 * d1(h1 / 2) - d1(h1)) / 3.0
-    h2 = 1e-4 * max(1.0, abs(x))
-    tx, slope = solve(x)
-    lx = _w_real(ctx, tx)
-    d2 = lambda s: (L(x + s) - 2.0 * lx + L(x - s)) / (s * s)  # noqa: E731
-    lpp = (4.0 * d2(h2 / 2) - d2(h2)) / 3.0
+    t, slope = _level_solver(ctx, lo, hi)(x)
+    (lx, w1, w2), (_h, h1, h2) = ([c.real for c in s.coeffs] for s in _level_jet(ctx, t, 2))
+    lp, lpp = w1 / h1, 2.0 * (w2 * h1 - w1 * h2) / h1**3  # w2, h2: half of w'', h_i''
     left = -lpp / lp**3 + 1.0 / (math.pi**2 * lx)
     right = 0.5 / math.pi**2 * (1.0 / slope + 2.0 / lx)
     return left - right
@@ -150,8 +162,8 @@ def thm19_value(
     """
     if r1 == r2:
         return 0.0
-    scale = (q.prefactor * q.gamma_factor).real
-    t1, t2 = (hi_inverse(ctx, scale / (r + 1.0), lo, hi) for r in (r1, r2))
+    scale, solve = (q.prefactor * q.gamma_factor).real, _level_solver(ctx, lo, hi)
+    t1, t2 = (solve(scale / (r + 1.0))[0] for r in (r1, r2))
     return t2 - t1
 
 

@@ -655,6 +655,7 @@ def _check_real_chain_ode() -> _Outcome:
     lo, hi = 1e-3, 30.0
     err = 0.0
     for x in (0.04, 0.06):
+        # differences the real-only solver itself, which a jet of h_i at the root could not see
         h = lambda t: hi_inverse(ctx, t, lo, hi)  # noqa: E731
         step = 1e-6
         hp = (h(x + step) - h(x - step)) / (2.0 * step)
@@ -727,7 +728,7 @@ _REGISTRY: list[tuple[str, str, Optional[float], Callable[[], _Outcome]]] = [
     ("lambda_derivative", "B", 1e-12, _check_lambda_derivative),
     ("real_bridge", "B", 1e-7, _check_real_bridge),
     ("hi_consistency", "B", 1e-9, _check_hi_consistency),
-    ("thm17_residual", "B", 1e-5, _check_thm17_residual),
+    ("thm17_residual", "B", 1e-11, _check_thm17_residual),
     ("thm19_closed_vs_quadrature", "B", None, _check_thm19),
     ("thm19_small_r_range", "B", None, _check_thm19_small_r),
     ("thm20_shift_fit", "B", 1e-6, _check_thm20_fit),
@@ -744,15 +745,7 @@ def _run_one(
     try:
         out = body()
     except Exception as exc:  # findings, not crashes
-        return CheckResult(
-            id=check_id,
-            tier=tier,
-            status="fail",
-            max_abs_error=_INF,
-            tolerance=tolerance,
-            samples=0,
-            notes=f"{type(exc).__name__}: {exc}",
-        )
+        out = _Outcome(_INF, 0, f"{type(exc).__name__}: {exc}", status="fail")
     status = out.status or ("pass" if out.max_abs_error < tolerance else "fail")
     return CheckResult(
         id=check_id,

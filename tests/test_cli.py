@@ -134,15 +134,17 @@ class TestIntegral:
         assert payload["abs_err"] < 1e-12
 
     def test_without_oracle(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "integral", "--a1", "-1", "--b1", "0", "--c1", "1",
-            "--m", "1/2", "--r1", "inf", "--r2", "1",
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["value_re"] == pytest.approx(math.pi / 2, abs=1e-10)
-        assert payload["oracle_re"] is None
+        # --r1 is a plain float: it reads inf in any case
+        for r1 in ("inf", "INF"):
+            code, out, _ = run(
+                capsys,
+                "integral", "--a1", "-1", "--b1", "0", "--c1", "1",
+                "--m", "1/2", "--r1", r1, "--r2", "1",
+            )
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["value_re"] == pytest.approx(math.pi / 2, abs=1e-10)
+            assert payload["oracle_re"] is None
 
     @pytest.mark.parametrize("f1", ["1+A", "1+A^2", "exp(A)"])
     def test_f1_oracle_meets_the_closed_form(self, capsys, f1):

@@ -152,7 +152,20 @@ class TestChain:
         lo, hi = 0.2, 60.0
         for a in (1.0, 3.0):
             x = hi_of(exp_ctx, a)
-            assert abs(S_residual(exp_ctx, x, lo, hi)) < 1e-5
+            assert abs(S_residual(exp_ctx, x, lo, hi)) < 1e-12
+
+    def test_level_jet_matches_the_level_map(self, unit_ctx, exp_ctx):
+        # the jet's h_i, h_i' and w at eps = 0 are the values of _level and _w_real
+        one_plus = build_real_context(to_funcspec(parse_expr("1+A"), order=40), 40)
+        for ctx in (exp_ctx, unit_ctx, one_plus):
+            for k in range(41):
+                t = 0.05 * 800.0 ** (k / 40)
+                w, h = lagrev.realanalog._level_jet(ctx, t, 2)
+                level, slope, _tail = lagrev.realanalog._level(ctx, math.sqrt(t))
+                for got, want in (
+                    (h[0], level), (h[1], slope), (w[0], lagrev.realanalog._w_real(ctx, t))
+                ):
+                    assert got.real == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_L_matches_series(self, unit_ctx):
         # for f = 1 the chain value is just the nome at the inverted level
@@ -239,13 +252,14 @@ class TestShiftFit:
         calls.clear()
         x = hi_of(unit_ctx, 1.5)
         S_residual(unit_ctx, x)
-        # eight finite-difference neighbours and x itself
-        assert len(calls) == 9 and calls.count(x) == 1
+        # x alone: L' and L'' are read from the jet at its root
+        assert calls == [x]
 
     def test_one_solver_serves_every_point(self, unit_ctx, exp_ctx, monkeypatch):
         # the bracket ends are read once per call, not once per point, and
-        # S_residual's h'(x) is the h_i' of the tail check at x's root:
-        # 2 passes over a_n, then per point its Newton steps and the root
+        # S_residual's h'(x) is the h_i' of the tail check at x's root (its
+        # jet makes no pass): 2 passes over a_n, then per point its Newton
+        # steps and the root
         level, newton = lagrev.realanalog._level, lagrev.realanalog.newton_decreasing
         passes, steps, roots = [], [], []
 
@@ -265,8 +279,9 @@ class TestShiftFit:
         monkeypatch.setattr(lagrev.realanalog, "_level", counted_level)
         monkeypatch.setattr(lagrev.realanalog, "newton_decreasing", counted_newton)
         for run, points in (
-            (lambda: S_residual(exp_ctx, x, 0.2, 60.0), 9),
+            (lambda: S_residual(exp_ctx, x, 0.2, 60.0), 1),
             (lambda: thm20_fit(unit_ctx, [0.02, 0.04, 0.06]), 3),
+            (lambda: thm19_value(unit_ctx, TestLevelDifference.QUAD, 35.0, 45.0, 1e-4, 10.0), 2),
         ):
             del passes[:], steps[:], roots[:]
             run()

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lagrev.errors import DomainError
+from lagrev.errors import DomainError, NoBracket
 from lagrev.expr import print_expr
 from lagrev.verify import emit_report, run_suite
 
@@ -193,3 +193,29 @@ def test_nome_reduction_fails_on_a_scaled_nome_function(monkeypatch, name):
     fn = getattr(verify, name)
     monkeypatch.setattr(verify, name, lambda *args: fn(*args) * (1 + 1e-9))
     assert _statuses(run_suite("classical"))["nome_reduction"] == "fail"
+
+
+def test_hi_prime_error_fails_thm17(monkeypatch):
+    # L' and L'' come from the jet of h_i, h'(x) = 1/h_i' from hi_prime:
+    # a 1e-9 error in hi_prime shows on the right side alone
+    import lagrev.realanalog as realanalog
+    import lagrev.verify as verify
+
+    assert _statuses(run_suite("paper"))["thm17_residual"] == "pass"
+    hi_prime = realanalog.hi_prime
+    monkeypatch.setattr(realanalog, "hi_prime", lambda ctx, A: hi_prime(ctx, A) * (1 + 1e-9))
+    verify._context.cache_clear()
+    assert _statuses(run_suite("paper"))["thm17_residual"] == "fail"
+
+
+def test_a_raising_check_body_is_reported_as_a_failure():
+    from lagrev.verify import _run_one
+
+    def body():
+        raise NoBracket("target outside the range")
+
+    result = _run_one("raises", "B", 1e-8, body)
+    assert (result.status, result.max_abs_error, result.samples, result.tolerance) == (
+        "fail", float("inf"), 0, 1e-8
+    )
+    assert result.notes == "NoBracket: target outside the range"
